@@ -15,11 +15,12 @@ BENCH_COUNT   := 1
 TEST_TIMEOUT := 30m
 
 # Benchmarks the perf gate tracks: the gate subset of BENCH_PATTERN
-# (sweep throughput, model kernel, both cold-start pipelines, the
-# distributed FleetSweep and tracing-instrumented TracedSweep — via the
-# unanchored Sweep — and the wire encode/decode, eval stream and
-# coalesced broadcast paths).
-GATE_PATTERN   := Sweep|KernelRun|ProfileColdStart|StoreColdStart|WireEncode|WireDecode|EvalStream|CoalescedEval
+# (sweep throughput, model kernel, both cold-start pipelines and their
+# frontend-record and per-config replay stages, the distributed
+# FleetSweep and tracing-instrumented TracedSweep — via the unanchored
+# Sweep — and the wire encode/decode, eval stream and coalesced
+# broadcast paths).
+GATE_PATTERN   := Sweep|KernelRun|ProfileColdStart|StoreColdStart|ProfileFrontendRecord|ProfileReplay|WireEncode|WireDecode|EvalStream|CoalescedEval
 GATE_BASELINE  := BENCH_PR10.json
 GATE_THRESHOLD := 0.25
 # The gate runs each benchmark GATE_COUNT times and benchdiff takes the
@@ -27,10 +28,15 @@ GATE_THRESHOLD := 0.25
 # wire benchmarks doesn't trip the threshold.
 GATE_COUNT     := 3
 
-.PHONY: test race fleet-smoke bench-baseline bench-gate
+.PHONY: test race fleet-smoke perfbench-test bench-baseline bench-gate
 
 test:
 	go build ./... && go test -timeout $(TEST_TIMEOUT) ./...
+
+# perfbench-test runs the repository benchmark's own unit tests. perfbench
+# is a module of its own, so the root `go test ./...` does not reach it.
+perfbench-test:
+	cd perfbench && go test .
 
 race:
 	go test -race -timeout $(TEST_TIMEOUT) ./...

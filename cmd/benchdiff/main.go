@@ -40,12 +40,13 @@ import (
 
 // defaultTracked gates the benchmarks the repository commits to: sweep
 // throughput (the paper's headline), the model kernel, the two
-// cold-start pipelines, the distributed fleet sweep, the wire protocol
-// encode/decode and coalesced-stream paths, and the sweep with tracing
-// instrumented (whose "off" case pins tracing's zero-cost-when-off
-// contract at the whole-pipeline level).
-const defaultTracked = `^Benchmark(Sweep|KernelRun|ProfileColdStart|StoreColdStart|FleetSweep` +
-	`|WireEncode|WireDecode|EvalStreamNDJSON|EvalStreamWire|CoalescedEval|TracedSweep)\b`
+// cold-start pipelines and the frontend-record and per-config replay
+// stages they are built from, the distributed fleet sweep, the wire
+// protocol encode/decode and coalesced-stream paths, and the sweep with
+// tracing instrumented (whose "off" case pins tracing's
+// zero-cost-when-off contract at the whole-pipeline level).
+const defaultTracked = `^Benchmark(Sweep|KernelRun|ProfileColdStart|StoreColdStart|ProfileFrontendRecord|ProfileReplay` +
+	`|FleetSweep|WireEncode|WireDecode|EvalStreamNDJSON|EvalStreamWire|CoalescedEval|TracedSweep)\b`
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))

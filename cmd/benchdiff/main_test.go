@@ -207,12 +207,13 @@ func TestDefaultTrackedSet(t *testing.T) {
 	for _, name := range []string{
 		"BenchmarkSweep", "BenchmarkKernelRun",
 		"BenchmarkProfileColdStart", "BenchmarkStoreColdStart", "BenchmarkFleetSweep",
+		"BenchmarkProfileFrontendRecord/mcf", "BenchmarkProfileReplay/gamess",
 	} {
 		if !re.MatchString(name) {
 			t.Errorf("%s not tracked by default", name)
 		}
 	}
-	for _, name := range []string{"BenchmarkFleet", "BenchmarkUntrackedThing", "BenchmarkRing"} {
+	for _, name := range []string{"BenchmarkFleet", "BenchmarkUntrackedThing", "BenchmarkRing", "BenchmarkProfileDirect"} {
 		if re.MatchString(name) {
 			t.Errorf("%s unexpectedly tracked", name)
 		}

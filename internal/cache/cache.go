@@ -35,10 +35,17 @@ func (c Config) Sets() int64 {
 func (c Config) Lines() int64 { return c.SizeBytes / c.LineSize }
 
 // Validate reports whether the configuration is usable: positive sizes,
-// power-of-two set count, and at least one way.
+// a power-of-two line size of at least 4 bytes, a power-of-two set
+// count, and at least one way. The cache indexes by the line size's
+// bit width, so any other line size would silently model a different
+// one.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.LineSize <= 0 {
 		return fmt.Errorf("cache %s: non-positive size: %w", c.Name, mppmerr.ErrBadConfig)
+	}
+	if c.LineSize < 4 || c.LineSize&(c.LineSize-1) != 0 {
+		return fmt.Errorf("cache %s: line size %d not a power of two of at least 4 bytes: %w",
+			c.Name, c.LineSize, mppmerr.ErrBadConfig)
 	}
 	if c.Ways < 1 {
 		return fmt.Errorf("cache %s: ways %d < 1: %w", c.Name, c.Ways, mppmerr.ErrBadConfig)
@@ -71,19 +78,28 @@ func (s Stats) MissRate() float64 {
 
 // Cache is a set-associative LRU cache over line addresses.
 //
-// Each set stores its tags in recency order: index 0 is the most recently
-// used way, index ways-1 the least recently used. With at most 16 ways the
-// move-to-front shuffle is a short memmove and stays cache-friendly.
+// Each set is a run of ways entries in recency order: index 0 is the
+// most recently used way, index ways-1 the least recently used. An entry
+// packs a line's tag with its state flags, tag | validBit | dirtyBit, so
+// a lookup compares one word per way and an LRU move shifts one word per
+// way it passes (an MRU hit moves nothing). The shift is a plain loop:
+// for a few words it beats a memmove call. The tag is the line address
+// (addr >> log2(line size)); Validate's line size of at least 4 bytes
+// leaves the top two bits free for the flags.
 type Cache struct {
 	cfg      Config
 	setMask  uint64
 	setShift uint
 	ways     int
-	tags     []uint64 // sets*ways, recency-ordered per set
-	valid    []bool
-	dirty    []bool
-	stats    Stats
+	lines    []uint64 // sets*ways packed entries, recency-ordered per set
+	stats    Stats    // Accesses is derived in Stats, not counted
 }
+
+const (
+	validBit = uint64(1) << 63
+	dirtyBit = uint64(1) << 62
+	tagMask  = dirtyBit - 1
+)
 
 // New builds a cache from cfg. It panics on an invalid configuration to
 // keep the hot path free of error returns; configurations are validated
@@ -93,39 +109,38 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	sets := cfg.Sets()
-	c := &Cache{
+	return &Cache{
 		cfg:      cfg,
 		setMask:  uint64(sets - 1),
 		setShift: uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
 		ways:     cfg.Ways,
-		tags:     make([]uint64, sets*int64(cfg.Ways)),
-		valid:    make([]bool, sets*int64(cfg.Ways)),
-		dirty:    make([]bool, sets*int64(cfg.Ways)),
+		lines:    make([]uint64, sets*int64(cfg.Ways)),
 	}
-	return c
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a snapshot of the cache's counters.
-func (c *Cache) Stats() Stats { return c.stats }
+func (c *Cache) Stats() Stats {
+	s := c.stats
+	s.Accesses = s.Hits + s.Misses
+	return s
+}
 
 // ResetStats clears the counters without touching cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush invalidates every line and clears statistics.
 func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.dirty[i] = false
-	}
+	clear(c.lines)
 	c.stats = Stats{}
 }
 
-// setIndex maps a byte address to its set number.
-func (c *Cache) setIndex(addr uint64) uint64 {
-	return (addr >> c.setShift) & c.setMask
+// set returns the recency-ordered entries of the set holding tag.
+func (c *Cache) set(tag uint64) []uint64 {
+	base := int(tag&c.setMask) * c.ways
+	return c.lines[base : base+c.ways : base+c.ways]
 }
 
 // Access performs a read or write access for the line containing addr.
@@ -134,50 +149,50 @@ func (c *Cache) setIndex(addr uint64) uint64 {
 // line is installed at the MRU position, evicting the LRU way; the
 // returned writeback flag reports whether the eviction was dirty.
 func (c *Cache) Access(addr uint64, write bool) (hit bool, depth int, writeback bool) {
-	set := c.setIndex(addr)
-	base := int(set) * c.ways
 	tag := addr >> c.setShift
-	c.stats.Accesses++
+	set := c.set(tag)
+	want := tag | validBit
 
-	for i := 0; i < c.ways; i++ {
-		if c.valid[base+i] && c.tags[base+i] == tag {
-			// Hit at depth i+1: move to front.
-			d := c.dirty[base+i] || write
-			copy(c.tags[base+1:base+i+1], c.tags[base:base+i])
-			copy(c.dirty[base+1:base+i+1], c.dirty[base:base+i])
-			c.tags[base] = tag
-			c.dirty[base] = d
+	for i, e := range set {
+		if e&^dirtyBit == want {
+			// Hit at depth i+1: move to front; at depth 1 nothing moves.
+			depth = i + 1
+			if write {
+				e |= dirtyBit
+			}
+			for ; i > 0; i-- {
+				set[i] = set[i-1]
+			}
+			set[0] = e
 			c.stats.Hits++
-			return true, i + 1, false
+			return true, depth, false
 		}
 	}
 
-	// Miss: evict LRU way (last slot), shift everything down, install at MRU.
+	// Miss: evict the LRU way (last slot), shift everything down, install
+	// at MRU. Invalid entries are zero, so only a valid line can be dirty.
 	c.stats.Misses++
-	last := base + c.ways - 1
-	if c.valid[last] && c.dirty[last] {
+	if set[len(set)-1]&dirtyBit != 0 {
 		writeback = true
 		c.stats.Writebacks++
 	}
-	copy(c.tags[base+1:base+c.ways], c.tags[base:base+c.ways-1])
-	copy(c.dirty[base+1:base+c.ways], c.dirty[base:base+c.ways-1])
-	// The valid slice only ever transitions false->true; shifting needs
-	// the same treatment so partially-filled sets stay correct.
-	copy(c.valid[base+1:base+c.ways], c.valid[base:base+c.ways-1])
-	c.tags[base] = tag
-	c.valid[base] = true
-	c.dirty[base] = write
+	for i := len(set) - 1; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	if write {
+		want |= dirtyBit
+	}
+	set[0] = want
 	return false, 0, writeback
 }
 
 // Probe reports whether the line containing addr is present, without
 // updating LRU state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
-	set := c.setIndex(addr)
-	base := int(set) * c.ways
 	tag := addr >> c.setShift
-	for i := 0; i < c.ways; i++ {
-		if c.valid[base+i] && c.tags[base+i] == tag {
+	want := tag | validBit
+	for _, e := range c.set(tag) {
+		if e&^dirtyBit == want {
 			return true
 		}
 	}
@@ -190,9 +205,9 @@ func (c *Cache) Probe(addr uint64) bool {
 // reports per-core LLC occupancy — useful for contention analysis.
 func (c *Cache) OccupancyByTagBits(shift uint) map[uint64]int64 {
 	out := make(map[uint64]int64)
-	for i, v := range c.valid {
-		if v {
-			out[(c.tags[i]<<c.setShift)>>shift]++
+	for _, e := range c.lines {
+		if e&validBit != 0 {
+			out[((e&tagMask)<<c.setShift)>>shift]++
 		}
 	}
 	return out

@@ -1,9 +1,14 @@
 package cache
 
 import (
+	"errors"
+	"maps"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mppmerr"
 )
 
 func tinyConfig() Config {
@@ -27,10 +32,20 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 512, Ways: 0, LineSize: 64},
 		{SizeBytes: 100, Ways: 1, LineSize: 64},    // not divisible
 		{SizeBytes: 64 * 3, Ways: 1, LineSize: 64}, // 3 sets, not power of two
+		{SizeBytes: 48 * 8, Ways: 1, LineSize: 48}, // 8 sets, but 48B lines would index as 16B
+		{SizeBytes: 96 * 4, Ways: 2, LineSize: 96}, // 2 sets, 96B lines
+		{SizeBytes: 2 * 8, Ways: 1, LineSize: 2},   // power of two below 4B
+		{SizeBytes: 8, Ways: 8, LineSize: 1},
 	}
 	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("config %d should fail validation", i)
+		if err := c.Validate(); !errors.Is(err, mppmerr.ErrBadConfig) {
+			t.Errorf("config %d: Validate = %v, want ErrBadConfig", i, err)
+		}
+	}
+	for _, line := range []int64{4, 8, 16, 32, 64, 128, 4096} {
+		c := Config{Name: "ok", SizeBytes: line * 16, Ways: 4, LineSize: line}
+		if err := c.Validate(); err != nil {
+			t.Errorf("line size %d: %v", line, err)
 		}
 	}
 	if err := tinyConfig().Validate(); err != nil {
@@ -374,5 +389,210 @@ func BenchmarkCacheAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(addrs[i&4095], false)
+	}
+}
+
+// refCache is the cache model before entries were packed into one word:
+// separate tag, valid and dirty arrays per way, with Access, Probe,
+// OccupancyByTagBits and Flush kept verbatim. It is the differential
+// oracle for Cache (TestCacheMatchesReference).
+type refCache struct {
+	setMask  uint64
+	setShift uint
+	ways     int
+	tags     []uint64 // sets*ways, recency-ordered per set
+	valid    []bool
+	dirty    []bool
+	stats    Stats
+}
+
+func newRefCache(cfg Config) *refCache {
+	sets := cfg.Sets()
+	return &refCache{
+		setMask:  uint64(sets - 1),
+		setShift: uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
+		ways:     cfg.Ways,
+		tags:     make([]uint64, sets*int64(cfg.Ways)),
+		valid:    make([]bool, sets*int64(cfg.Ways)),
+		dirty:    make([]bool, sets*int64(cfg.Ways)),
+	}
+}
+
+func (c *refCache) Flush() {
+	for i := range c.valid {
+		c.valid[i] = false
+		c.dirty[i] = false
+	}
+	c.stats = Stats{}
+}
+
+func (c *refCache) setIndex(addr uint64) uint64 {
+	return (addr >> c.setShift) & c.setMask
+}
+
+func (c *refCache) Access(addr uint64, write bool) (hit bool, depth int, writeback bool) {
+	set := c.setIndex(addr)
+	base := int(set) * c.ways
+	tag := addr >> c.setShift
+	c.stats.Accesses++
+
+	for i := 0; i < c.ways; i++ {
+		if c.valid[base+i] && c.tags[base+i] == tag {
+			// Hit at depth i+1: move to front.
+			d := c.dirty[base+i] || write
+			copy(c.tags[base+1:base+i+1], c.tags[base:base+i])
+			copy(c.dirty[base+1:base+i+1], c.dirty[base:base+i])
+			c.tags[base] = tag
+			c.dirty[base] = d
+			c.stats.Hits++
+			return true, i + 1, false
+		}
+	}
+
+	// Miss: evict LRU way (last slot), shift everything down, install at MRU.
+	c.stats.Misses++
+	last := base + c.ways - 1
+	if c.valid[last] && c.dirty[last] {
+		writeback = true
+		c.stats.Writebacks++
+	}
+	copy(c.tags[base+1:base+c.ways], c.tags[base:base+c.ways-1])
+	copy(c.dirty[base+1:base+c.ways], c.dirty[base:base+c.ways-1])
+	// The valid slice only ever transitions false->true; shifting needs
+	// the same treatment so partially-filled sets stay correct.
+	copy(c.valid[base+1:base+c.ways], c.valid[base:base+c.ways-1])
+	c.tags[base] = tag
+	c.valid[base] = true
+	c.dirty[base] = write
+	return false, 0, writeback
+}
+
+func (c *refCache) Probe(addr uint64) bool {
+	set := c.setIndex(addr)
+	base := int(set) * c.ways
+	tag := addr >> c.setShift
+	for i := 0; i < c.ways; i++ {
+		if c.valid[base+i] && c.tags[base+i] == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) OccupancyByTagBits(shift uint) map[uint64]int64 {
+	out := make(map[uint64]int64)
+	for i, v := range c.valid {
+		if v {
+			out[(c.tags[i]<<c.setShift)>>shift]++
+		}
+	}
+	return out
+}
+
+// oracleStream generates a seeded access stream for cfg that exercises
+// every LRU stack depth: most accesses go to a handful of hot sets, each
+// with ways+ways/2+1 candidate lines (so a random pick hits at any depth
+// or misses; one hot set is set 0 and includes line 0), mixed with
+// re-touches of the previous access, cold lines anywhere in the 64-bit
+// address space (top bits set included) and writes at a 30% rate.
+func oracleStream(rng *rand.Rand, cfg Config, n int) (addrs []uint64, writes []bool) {
+	sets := uint64(cfg.Sets())
+	line := uint64(cfg.LineSize)
+	hot := make([][]uint64, 4)
+	for i := range hot {
+		set := rng.Uint64() % sets
+		cands := make([]uint64, cfg.Ways+cfg.Ways/2+1)
+		for j := range cands {
+			// A random tag over the full address width above the set
+			// bits (so about half the candidates have the top bit set),
+			// at a random offset within the line.
+			hi := rng.Uint64() >> (bits.TrailingZeros64(line) + bits.TrailingZeros64(sets))
+			cands[j] = (hi*sets+set)*line + rng.Uint64()%line
+		}
+		if i == 0 {
+			// Line 0 has tag 0, the bit pattern of an empty way.
+			cands[0] = rng.Uint64() % line
+			for j := 1; j < len(cands); j++ {
+				cands[j] -= set * line
+			}
+		}
+		hot[i] = cands
+	}
+	addrs = make([]uint64, n)
+	writes = make([]bool, n)
+	for i := range addrs {
+		switch r := rng.Intn(100); {
+		case r < 75:
+			cands := hot[rng.Intn(len(hot))]
+			addrs[i] = cands[rng.Intn(len(cands))]
+		case r < 85 && i > 0:
+			addrs[i] = addrs[i-1]
+		case r < 92:
+			addrs[i] = rng.Uint64() | 1<<63
+		default:
+			addrs[i] = rng.Uint64()
+		}
+		writes[i] = rng.Intn(10) < 3
+	}
+	return addrs, writes
+}
+
+// TestCacheMatchesReference is the packed cache's differential oracle:
+// over the L1, L2 and all six Table 2 LLC geometries, a seeded
+// randomized stream must produce the same (hit, depth, writeback) on
+// every access as refCache, the same Probe answers, and the same final
+// Stats and OccupancyByTagBits, before and after a Flush.
+func TestCacheMatchesReference(t *testing.T) {
+	h := BaselineHierarchy(LLCConfigs()[0])
+	geoms := append([]Config{h.L1D, h.L2}, LLCConfigs()...)
+	for gi, cfg := range geoms {
+		t.Run(cfg.Name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(gi) + 1))
+			got, want := New(cfg), newRefCache(cfg)
+			seen := make([]int64, cfg.Ways+1) // hits per depth; [0] = misses
+			var wbs int64
+			for round := 0; round < 2; round++ {
+				addrs, writes := oracleStream(rng, cfg, 40_000)
+				for i, a := range addrs {
+					gh, gd, gw := got.Access(a, writes[i])
+					wh, wd, ww := want.Access(a, writes[i])
+					if gh != wh || gd != wd || gw != ww {
+						t.Fatalf("round %d access %d (%#x, write=%v) = (%v, %d, %v), want (%v, %d, %v)",
+							round, i, a, writes[i], gh, gd, gw, wh, wd, ww)
+					}
+					seen[gd]++
+					if gw {
+						wbs++
+					}
+					if i%97 == 0 {
+						p := addrs[rng.Intn(i+1)]
+						if got.Probe(p) != want.Probe(p) {
+							t.Fatalf("round %d: Probe(%#x) = %v, want %v", round, p, got.Probe(p), want.Probe(p))
+						}
+					}
+				}
+				if got.Stats() != want.stats {
+					t.Fatalf("round %d: Stats = %+v, want %+v", round, got.Stats(), want.stats)
+				}
+				for _, shift := range []uint{0, 20, 44, 58, 63} {
+					if g, w := got.OccupancyByTagBits(shift), want.OccupancyByTagBits(shift); !maps.Equal(g, w) {
+						t.Fatalf("round %d: OccupancyByTagBits(%d) = %v, want %v", round, shift, g, w)
+					}
+				}
+				got.Flush()
+				want.Flush()
+				if got.Stats() != (Stats{}) || len(got.OccupancyByTagBits(0)) != 0 {
+					t.Fatalf("round %d: Flush left state behind", round)
+				}
+			}
+			for d, n := range seen {
+				if n == 0 {
+					t.Errorf("stream never produced depth %d (0 = miss); oracle coverage is incomplete", d)
+				}
+			}
+			if wbs == 0 {
+				t.Error("stream never produced a dirty writeback")
+			}
+		})
 	}
 }

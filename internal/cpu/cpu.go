@@ -141,7 +141,17 @@ func (t *Timing) Params() Params { return t.params }
 // gapCycles base cycles.
 func (t *Timing) OnGap(gap int64, gapCycles float64) {
 	t.instructions += gap
-	t.baseCycles += gapCycles / t.frequencyScale
+	t.baseCycles += t.scale(gapCycles)
+}
+
+// scale converts baseline cycles into this core's cycles. At the
+// baseline frequency it skips the division, which is exact: x/1 == x
+// for every float64.
+func (t *Timing) scale(cycles float64) float64 {
+	if t.frequencyScale == 1 {
+		return cycles
+	}
+	return cycles / t.frequencyScale
 }
 
 // OnAccess accounts for one memory reference satisfied at the given
@@ -151,15 +161,22 @@ func (t *Timing) OnGap(gap int64, gapCycles float64) {
 // misses and always pays the full memory latency. It returns the stall
 // charged.
 func (t *Timing) OnAccess(level cache.Level, llcLatency int, dependent bool) float64 {
+	if level == cache.L1Hit {
+		// Fully hidden. Checked here so the commonest access inlines
+		// into the simulator loops without a call.
+		return 0
+	}
+	return t.onStall(level, llcLatency, dependent)
+}
+
+// onStall is OnAccess for the levels below L1.
+func (t *Timing) onStall(level cache.Level, llcLatency int, dependent bool) float64 {
 	var stall float64
 	switch level {
-	case cache.L1Hit:
-		// fully hidden
-		return 0
 	case cache.L2Hit:
-		stall = t.params.L2HitStall
-		t.baseCycles += stall / t.frequencyScale
-		return stall / t.frequencyScale
+		stall = t.scale(t.params.L2HitStall)
+		t.baseCycles += stall
+		return stall
 	case cache.LLCHit:
 		stall = t.params.LLCHitStall(llcLatency)
 	case cache.LLCMiss:
@@ -167,13 +184,14 @@ func (t *Timing) OnAccess(level cache.Level, llcLatency int, dependent bool) flo
 		overlapped := !dependent && t.instructions-t.lastMissInstr <= t.params.ROBWindow
 		missPart := t.params.MissStall(overlapped)
 		t.lastMissInstr = t.instructions
-		t.memStall += missPart / t.frequencyScale
+		t.memStall += t.scale(missPart)
 		stall = hitPart + missPart
 	default:
 		panic(fmt.Sprintf("cpu: unknown level %v", level))
 	}
-	t.llcCycles += stall / t.frequencyScale
-	return stall / t.frequencyScale
+	stall = t.scale(stall)
+	t.llcCycles += stall
+	return stall
 }
 
 // AddMemStall charges extra memory stall cycles outside OnAccess — the
@@ -183,8 +201,9 @@ func (t *Timing) AddMemStall(cycles float64) {
 	if cycles <= 0 {
 		return
 	}
-	t.llcCycles += cycles / t.frequencyScale
-	t.memStall += cycles / t.frequencyScale
+	cycles = t.scale(cycles)
+	t.llcCycles += cycles
+	t.memStall += cycles
 }
 
 // Cycles returns the total accumulated cycles.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -241,6 +242,25 @@ func TestErrorStatusMapping(t *testing.T) {
 		if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error envelope missing: %s", tc.name, data)
 		}
+	}
+}
+
+// TestEvalRejectsNonPowerOfTwoLineSize: a server whose default LLC has
+// 48-byte lines must answer /v1/eval with 400 and ErrBadConfig's
+// message. The cache indexes by the line size's bit width, so accepting
+// it would silently model 16-byte lines.
+func TestEvalRejectsNonPowerOfTwoLineSize(t *testing.T) {
+	llc := mppm.LLCConfig{Name: "odd-line", SizeBytes: 48 * 8 * 1024, Ways: 8, LineSize: 48, LatencyCycles: 16}
+	sys := mppm.NewSystem(llc, mppm.WithScale(testTraceLen, testInterval))
+	ts := httptest.NewServer(New(sys).Handler())
+	t.Cleanup(ts.Close)
+	resp, data := postJSON(t, ts.URL+"/v1/eval", EvalRequest{Mix: []string{"gamess", "lbm"}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, data)
+	}
+	var e errorBody
+	if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e.Error, "line size 48") {
+		t.Fatalf("error body %s does not name the line size", data)
 	}
 }
 

@@ -52,7 +52,8 @@ const (
 // serialized *shape* (codec.FormatVersion) is unchanged. The persistent
 // artifact store folds it into every artifact's content address, so
 // artifacts produced by older pipeline semantics miss instead of being
-// served stale.
+// served stale. TestOutputsGolden pins digests of those values and fails
+// when they drift without a bump.
 const OutputGeneration = 1
 
 // closeMark is one pre-computed interval close. before is the index of
@@ -142,8 +143,8 @@ func Record(ctx context.Context, rd trace.Source, cfg Config) (*Recording, error
 	nextCtxCheck := int64(ctxCheckInterval)
 
 	for {
-		ref, ok := cur.Next()
-		if !ok {
+		ref := cur.Next()
+		if ref == nil {
 			break
 		}
 		tm.OnGap(ref.Gap, ref.GapCycles)

@@ -169,8 +169,8 @@ func ProfileSource(ctx context.Context, rd trace.Source, cfg Config, opts Profil
 	}
 
 	for {
-		ref, ok := cur.Next()
-		if !ok {
+		ref := cur.Next()
+		if ref == nil {
 			break
 		}
 		tm.OnGap(ref.Gap, ref.GapCycles)
@@ -317,8 +317,8 @@ type coreState struct {
 func (c *coreState) advance(ctx context.Context, llcLat int) (ev llcEvent, ok bool, err error) {
 	resets := 0
 	for {
-		ref, more := c.cur.Next()
-		if !more {
+		ref := c.cur.Next()
+		if ref == nil {
 			if !c.finished {
 				c.finished = true
 				c.finishCycles = c.tm.Cycles()

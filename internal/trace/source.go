@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Source is a replayable stream of memory references. *Reader is the
@@ -46,9 +47,10 @@ const DefaultBlockLen = 1024
 // Cursor adapts any Source for block-at-a-time consumption: it drains
 // the source through ReadBlock when available (one interface call per
 // DefaultBlockLen references) and falls back to buffering Next calls
-// otherwise. Cursor.Next is a concrete method on a small struct, so the
-// per-reference cost in the simulator inner loops is a bounds check and
-// a copy rather than an interface dispatch.
+// otherwise. Cursor.Next is a concrete method on a small struct that
+// hands out a pointer into the block, so the per-reference cost in the
+// simulator inner loops is a bounds check rather than an interface
+// dispatch and a copy.
 type Cursor struct {
 	src    Source
 	blk    BlockSource // nil when src does not implement BlockSource
@@ -65,14 +67,16 @@ func NewCursor(src Source) *Cursor {
 	return c
 }
 
-// Next returns the next reference; ok is false at end of trace.
-func (c *Cursor) Next() (Ref, bool) {
+// Next returns the next reference, or nil at end of trace. The Ref
+// lives in the cursor's block: it stays valid only until the next call
+// to Next or Reset, and callers must not modify it.
+func (c *Cursor) Next() *Ref {
 	if c.pos >= c.n && !c.refill() {
-		return Ref{}, false
+		return nil
 	}
-	ref := c.buf[c.pos]
+	ref := &c.buf[c.pos]
 	c.pos++
-	return ref, true
+	return ref
 }
 
 func (c *Cursor) refill() bool {
@@ -176,14 +180,28 @@ const (
 )
 
 // WriteTrace drains src from the beginning and serializes every
-// reference to w. src is Reset before and after writing.
+// reference to w. src is Reset before and after writing. The format
+// stores each gap as a uint32, so a source with a gap outside
+// [1, MaxUint32] is rejected before anything is written.
 func WriteTrace(w io.Writer, src Source) error {
-	src.Reset()
-	bw := bufio.NewWriter(w)
 	name := src.Name()
 	if len(name) > 255 {
 		return fmt.Errorf("trace: name too long (%d bytes)", len(name))
 	}
+	src.Reset()
+	for i := 0; ; i++ {
+		ref, ok := src.Next()
+		if !ok {
+			break
+		}
+		if ref.Gap < 1 || ref.Gap > math.MaxUint32 {
+			src.Reset()
+			return fmt.Errorf("trace: %s: ref %d has gap %d, outside the format's [1, %d]",
+				name, i, ref.Gap, uint32(math.MaxUint32))
+		}
+	}
+	src.Reset()
+	bw := bufio.NewWriter(w)
 	hdr := []any{
 		traceMagic, traceVersion, uint32(len(name)),
 	}

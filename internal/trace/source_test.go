@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -151,6 +152,50 @@ func TestWriteTraceRejectsLongName(t *testing.T) {
 	}
 }
 
+// TestWriteTraceRejectsWideGap: the file format stores gaps as uint32,
+// so a gap of 2^32 or more must fail up front instead of writing a
+// truncated gap that ReadTrace only rejects later as a gap-sum mismatch.
+func TestWriteTraceRejectsWideGap(t *testing.T) {
+	for _, gap := range []int64{1 << 32, 1<<32 + 5, math.MaxInt64} {
+		rec, err := NewRecorded("wide", []Ref{
+			{Addr: 0, Gap: 3, GapCycles: 3},
+			{Addr: 64, Gap: gap, GapCycles: 1},
+			{Addr: 128, Gap: 1, GapCycles: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Next() // WriteTrace must rewind on its own
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, rec); err == nil || !strings.Contains(err.Error(), "ref 1") {
+			t.Fatalf("gap %d: WriteTrace = %v, want an error naming ref 1", gap, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("gap %d: WriteTrace wrote %d bytes before failing", gap, buf.Len())
+		}
+		if ref, ok := rec.Next(); !ok || ref.Gap != 3 {
+			t.Fatalf("gap %d: source not rewound after the error", gap)
+		}
+	}
+
+	// The widest representable gap still round-trips.
+	rec, err := NewRecorded("widest", []Ref{{Addr: 64, Gap: math.MaxUint32, GapCycles: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Instructions() != math.MaxUint32 {
+		t.Fatalf("round trip length %d, want %d", back.Instructions(), uint32(math.MaxUint32))
+	}
+}
+
 // drainNext reads src to exhaustion one reference at a time.
 func drainNext(src Source) []Ref {
 	var out []Ref
@@ -230,12 +275,8 @@ func TestCursorMatchesSource(t *testing.T) {
 	} {
 		cur := NewCursor(tc.src)
 		var got []Ref
-		for {
-			ref, ok := cur.Next()
-			if !ok {
-				break
-			}
-			got = append(got, ref)
+		for ref := cur.Next(); ref != nil; ref = cur.Next() {
+			got = append(got, *ref)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("%s: cursor yielded %d refs, want %d", tc.name, len(got), len(want))
@@ -248,7 +289,7 @@ func TestCursorMatchesSource(t *testing.T) {
 
 		// Reset mid-stream discards buffered refs and replays identically.
 		cur.Reset()
-		if ref, ok := cur.Next(); !ok || ref != want[0] {
+		if ref := cur.Next(); ref == nil || *ref != want[0] {
 			t.Fatalf("%s: after reset got %+v, want %+v", tc.name, ref, want[0])
 		}
 	}

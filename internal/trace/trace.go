@@ -205,7 +205,9 @@ type Reader struct {
 	length int64 // total instructions in the trace
 
 	phaseEnds []int64     // cumulative instruction boundary of each phase
+	meanGap   []float64   // per-phase mean instruction gap, 1000/RefsPerKI
 	cumWeight [][]float64 // per-phase cumulative region weights (normalized)
+	regions   []regionWalk
 
 	// Mutable generation state (reset by Reset).
 	phase    int
@@ -213,8 +215,15 @@ type Reader struct {
 	rng      xorshift
 	cursors  []uint64 // per-region walk cursor (lines) for Stream/Stride
 	gapCarry float64
+}
 
-	regionBase []uint64 // byte base address of each region
+// regionWalk is a region's address layout, precomputed by NewReader.
+type regionWalk struct {
+	base      uint64 // byte base address
+	lines     uint64 // lines spanned
+	step      uint64 // Stream/Stride cursor advance, reduced modulo lines
+	kind      RegionKind
+	dependent bool
 }
 
 // NewReader builds a Reader for spec with the given total instruction
@@ -229,10 +238,13 @@ func NewReader(spec Spec, length int64) (*Reader, error) {
 	r := &Reader{spec: spec, length: length}
 
 	r.phaseEnds = make([]int64, len(spec.Phases))
+	r.meanGap = make([]float64, len(spec.Phases))
 	acc := 0.0
 	for i, p := range spec.Phases {
 		acc += p.Frac
 		r.phaseEnds[i] = int64(math.Round(acc * float64(length)))
+		// Mean gap 1000/RefsPerKI; Next adds ±50% deterministic jitter.
+		r.meanGap[i] = 1000 / p.RefsPerKI
 	}
 	r.phaseEnds[len(r.phaseEnds)-1] = length // absorb rounding
 
@@ -254,13 +266,26 @@ func NewReader(spec Spec, length int64) (*Reader, error) {
 
 	// Lay regions out back to back with a guard line between them so
 	// regions never share a cache line.
-	r.regionBase = make([]uint64, len(spec.Regions))
+	r.regions = make([]regionWalk, len(spec.Regions))
 	var base uint64
 	for i, reg := range spec.Regions {
-		r.regionBase[i] = base
-		base += (reg.lines() + 1) * LineSize
+		lines := reg.lines()
+		step := uint64(1) // Stream walks line by line
+		if reg.Kind == Stride {
+			stride := reg.Stride
+			if stride == 0 {
+				stride = LineSize
+			}
+			step = (stride + LineSize - 1) / LineSize
+		}
+		r.regions[i] = regionWalk{
+			base: base, lines: lines, step: step % lines,
+			kind: reg.Kind, dependent: reg.Dependent,
+		}
+		base += (lines + 1) * LineSize
 	}
 
+	r.cursors = make([]uint64, len(spec.Regions))
 	r.Reset()
 	return r, nil
 }
@@ -280,7 +305,7 @@ func (r *Reader) Reset() {
 	r.phase = 0
 	r.instr = 0
 	r.rng = newXorshift(r.spec.Seed)
-	r.cursors = make([]uint64, len(r.spec.Regions))
+	clear(r.cursors)
 	r.gapCarry = 0
 }
 
@@ -288,17 +313,25 @@ func (r *Reader) Reset() {
 // instruction budget is exhausted; the final reference may carry a Gap
 // that exactly lands on the trace end.
 func (r *Reader) Next() (ref Ref, ok bool) {
+	ok = r.next(&ref)
+	return ref, ok
+}
+
+// next generates the next reference into *ref, overwriting every field,
+// and reports false (leaving *ref untouched) at the end of the trace.
+// ReadBlock calls it on its destination slots, so a block is generated
+// in place.
+func (r *Reader) next(ref *Ref) bool {
 	if r.instr >= r.length {
-		return Ref{}, false
+		return false
 	}
 	for r.phase < len(r.phaseEnds)-1 && r.instr >= r.phaseEnds[r.phase] {
 		r.phase++
 	}
 	p := &r.spec.Phases[r.phase]
 
-	// Instruction gap: mean 1000/RefsPerKI with ±50% deterministic jitter.
-	mean := 1000 / p.RefsPerKI
-	g := mean*(0.5+r.rng.float64()) + r.gapCarry
+	// Instruction gap: the phase's mean with ±50% deterministic jitter.
+	g := r.meanGap[r.phase]*(0.5+r.rng.float64()) + r.gapCarry
 	gap := int64(g)
 	r.gapCarry = g - float64(gap)
 	if gap < 1 {
@@ -320,46 +353,37 @@ func (r *Reader) Next() (ref Ref, ok bool) {
 			break
 		}
 	}
-	reg := &r.spec.Regions[ri]
-	lines := reg.lines()
+	reg := &r.regions[ri]
 	var line uint64
-	switch reg.Kind {
-	case Hot:
-		line = r.rng.uint64n(lines)
-	case Stream:
+	if reg.kind == Hot {
+		line = r.rng.uint64n(reg.lines)
+	} else {
+		// Stream and Stride walk with wraparound; the cursor is below
+		// lines and the step was reduced modulo lines, so one compare
+		// replaces the modulo.
 		line = r.cursors[ri]
-		r.cursors[ri] = (line + 1) % lines
-	case Stride:
-		stride := reg.Stride
-		if stride == 0 {
-			stride = LineSize
+		next := line + reg.step
+		if next >= reg.lines {
+			next -= reg.lines
 		}
-		strideLines := (stride + LineSize - 1) / LineSize
-		line = r.cursors[ri]
-		r.cursors[ri] = (line + strideLines) % lines
+		r.cursors[ri] = next
 	}
-	addr := r.regionBase[ri] + line*LineSize
 
-	return Ref{
-		Addr:      addr,
-		Write:     r.rng.float64() < p.WriteFrac,
-		Dependent: reg.Dependent,
-		Gap:       gap,
-		GapCycles: float64(gap) * p.BaseCPI,
-	}, true
+	ref.Addr = reg.base + line*LineSize
+	ref.Write = r.rng.float64() < p.WriteFrac
+	ref.Dependent = reg.dependent
+	ref.Gap = gap
+	ref.GapCycles = float64(gap) * p.BaseCPI
+	return true
 }
 
-// ReadBlock implements BlockSource. Generation happens through direct
-// method calls, so consumers reading through a Cursor pay one interface
-// dispatch per block instead of one per reference.
+// ReadBlock implements BlockSource by generating straight into dst.
+// Generation happens through direct method calls, so consumers reading
+// through a Cursor pay one interface dispatch per block instead of one
+// per reference.
 func (r *Reader) ReadBlock(dst []Ref) int {
 	n := 0
-	for n < len(dst) {
-		ref, ok := r.Next()
-		if !ok {
-			break
-		}
-		dst[n] = ref
+	for n < len(dst) && r.next(&dst[n]) {
 		n++
 	}
 	return n
