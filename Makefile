@@ -4,22 +4,26 @@ SHELL := /bin/bash
 # throughput (plain and with tracing instrumented, via the unanchored
 # Sweep), the model kernel, the profiling pipeline (cold start, direct
 # pass, frontend recording, per-config replay, warm-store replica cold
-# start), and the wire protocol / coalesced streaming paths.
-BENCH_PATTERN := Sweep|Kernel|ProfileColdStart|StoreColdStart|ProfileDirect|ProfileFrontendRecord|ProfileReplay|Wire|EvalStream|JSONRowEncode|Coalesced
+# start), the detailed simulator on both frontends (live RunMulticore,
+# SimulateTapes on extended tapes), and the wire protocol / coalesced
+# streaming paths.
+BENCH_PATTERN := Sweep|Kernel|ProfileColdStart|StoreColdStart|ProfileDirect|ProfileFrontendRecord|ProfileReplay|RunMulticore|SimulateTapes|Wire|EvalStream|JSONRowEncode|Coalesced
 BENCH_COUNT   := 1
 
-# The experiments package alone takes ~15 minutes under -race on slow
-# machines (see CHANGES.md PR 4), which trips go test's default 10m
-# per-package timeout; every tier-1 invocation carries an explicit
-# budget instead.
-TEST_TIMEOUT := 30m
+# Every tier-1 invocation carries an explicit per-package budget. The
+# slowest packages under -race on a 2-vCPU VM, all packages run
+# together: internal/sim 128 s, internal/experiments 80 s (417 s before
+# detailed simulation ran on tapes), internal/fleet 74 s; each stays
+# under a third of the budget.
+TEST_TIMEOUT := 10m
 
 # Benchmarks the perf gate tracks: the gate subset of BENCH_PATTERN
 # (sweep throughput, model kernel, both cold-start pipelines and their
 # frontend-record and per-config replay stages, the distributed
 # FleetSweep and tracing-instrumented TracedSweep — via the unanchored
 # Sweep — and the wire encode/decode, eval stream and coalesced
-# broadcast paths).
+# broadcast paths). The two simulator benchmarks stay out until a
+# baseline records them.
 GATE_PATTERN   := Sweep|KernelRun|ProfileColdStart|StoreColdStart|ProfileFrontendRecord|ProfileReplay|WireEncode|WireDecode|EvalStream|CoalescedEval
 GATE_BASELINE  := BENCH_PR10.json
 GATE_THRESHOLD := 0.25

@@ -220,7 +220,9 @@ func (t *Timing) BaseCycles() float64 { return t.baseCycles }
 // an identically parameterized Timing. The LLC-dependent accumulators are
 // untouched, so a replay that interleaves AdvanceTo with the same
 // OnAccess/AddMemStall calls as a direct run reproduces its counters
-// bit-exactly. It is meaningful only at the baseline frequency scale.
+// bit-exactly. The values are restored as they are, not rescaled, so the
+// result is exact whenever they were observed on a Timing at the same
+// frequency scale as t.
 func (t *Timing) AdvanceTo(instructions int64, baseCycles float64) {
 	t.instructions = instructions
 	t.baseCycles = baseCycles

@@ -19,7 +19,9 @@
 // once per benchmark and cached, and each (benchmark, LLC) profile is a
 // cheap replay of that recording — so warming N LLC configurations
 // costs about one frontend pass, not N. Detailed multi-core
-// simulations, which are deterministic, are likewise cached per
+// simulations run on sim.Tapes attached to the same cached recordings,
+// so each core replays its recorded LLC access stream instead of its
+// trace; their results, which are deterministic, are cached per
 // (mix, LLC).
 //
 // When a persistent artifact store is configured (Config.Store), it
@@ -161,7 +163,7 @@ type Engine struct {
 	cfg Config
 
 	mu         sync.Mutex
-	recordings map[string]*call[*sim.Recording]
+	recordings map[string]*call[*sim.Tape]
 	profiles   map[profileKey]*call[*profile.Profile]
 	sims       map[simKey]*call[*sim.MulticoreResult]
 
@@ -205,7 +207,7 @@ func New(cfg Config) *Engine {
 	}
 	return &Engine{
 		cfg:        cfg,
-		recordings: make(map[string]*call[*sim.Recording]),
+		recordings: make(map[string]*call[*sim.Tape]),
 		profiles:   make(map[profileKey]*call[*profile.Profile]),
 		sims:       make(map[simKey]*call[*sim.MulticoreResult]),
 	}
@@ -248,7 +250,10 @@ const maxCachedSims = 4096
 // the finite synthetic suite — but the key space admits arbitrary
 // caller-supplied specs, so beyond the cap recordings are still
 // singleflight-deduplicated while in flight and then dropped instead of
-// retained. The suite (29 benchmarks) fits well under the cap.
+// retained. The suite (29 benchmarks) fits well under the cap. Each
+// entry also holds the benchmark's tape, whose later trace passes cost
+// about as much again per pass the detailed simulations have needed;
+// the cap bounds them with their recordings.
 const maxCachedRecordings = 64
 
 // maxCachedProfiles bounds the profile cache. The synthetic suite times
@@ -366,13 +371,15 @@ func storeSpan(ctx context.Context, name, kind, benchmark string) *obs.Span {
 	return sp
 }
 
-// recording returns the profiling-frontend recording of one benchmark,
-// computing it at most once per benchmark across all concurrent
-// callers. The recording is LLC-independent, so it is keyed by name
-// alone; llc only parameterizes the sim.Config the frontend validates
-// against. Recordings for the finite synthetic suite are retained for
-// the engine's lifetime.
-func (e *Engine) recording(ctx context.Context, spec trace.Spec, llc cache.Config) (*sim.Recording, error) {
+// tape returns the tape over the profiling-frontend recording of one
+// benchmark, recording it at most once per benchmark across all
+// concurrent callers. The recording is LLC-independent, so it is keyed
+// by name alone; llc only parameterizes the sim.Config the frontend
+// validates against. Profiles replay the tape's recording, and detailed
+// simulations run on the tape, which keeps the trace passes they add
+// for as long as the recording stays cached. Recordings for the finite
+// synthetic suite are retained for the engine's lifetime.
+func (e *Engine) tape(ctx context.Context, spec trace.Spec, llc cache.Config) (*sim.Tape, error) {
 	c, owned := claim(&e.mu, e.recordings, spec.Name)
 	if !owned {
 		return await(ctx, c)
@@ -410,14 +417,21 @@ func (e *Engine) recording(ctx context.Context, spec trace.Spec, llc cache.Confi
 			"benchmark", spec.Name, "from_store", fromStore,
 			"elapsed", time.Since(start), "err", err)
 	}
+	var t *sim.Tape
+	if err == nil {
+		var rd *trace.Reader
+		if rd, err = trace.NewReader(spec, cfg.TraceLength); err == nil {
+			t, err = sim.NewTape(rec, rd)
+		}
+	}
 	if err == nil {
 		capEvict(&e.mu, e.recordings, e.cfg.MaxCachedRecordings, spec.Name)
 	}
-	finish(&e.mu, e.recordings, spec.Name, c, rec, err)
+	finish(&e.mu, e.recordings, spec.Name, c, t, err)
 	if err != nil {
 		return nil, err
 	}
-	return rec, nil
+	return t, nil
 }
 
 // Profile returns the single-core profile of one benchmark under an LLC
@@ -476,11 +490,11 @@ func (e *Engine) Profile(ctx context.Context, spec trace.Spec, llc cache.Config)
 }
 
 func (e *Engine) replayProfile(ctx context.Context, spec trace.Spec, llc cache.Config) (*profile.Profile, error) {
-	rec, err := e.recording(ctx, spec, llc)
+	t, err := e.tape(ctx, spec, llc)
 	if err != nil {
 		return nil, err
 	}
-	return rec.Replay(ctx, e.SimConfig(llc), sim.ProfileOptions{})
+	return t.Recording().Replay(ctx, e.SimConfig(llc), sim.ProfileOptions{})
 }
 
 // ProfileSet profiles the whole synthetic suite under an LLC
@@ -604,7 +618,7 @@ func (e *Engine) simulate(ctx context.Context, mix workload.Mix, specs []trace.S
 		sp.SetAttr("mix", mix.Key())
 		sp.SetAttr("llc", llc.Name)
 	}
-	res, err := sim.RunMulticore(ctx, specs, e.SimConfig(llc), nil)
+	res, err := e.simulateTapes(ctx, specs, llc)
 	sp.EndErr(err)
 	if err == nil {
 		capEvict(&e.mu, e.sims, e.cfg.MaxCachedSims, key)
@@ -614,6 +628,20 @@ func (e *Engine) simulate(ctx context.Context, mix workload.Mix, specs []trace.S
 		return nil, err
 	}
 	return res, nil
+}
+
+// simulateTapes runs the detailed multi-core simulation of specs on the
+// benchmarks' cached tapes, bit-identical to sim.RunMulticore.
+func (e *Engine) simulateTapes(ctx context.Context, specs []trace.Spec, llc cache.Config) (*sim.MulticoreResult, error) {
+	tapes := make([]*sim.Tape, len(specs))
+	for i, s := range specs {
+		t, err := e.tape(ctx, s, llc)
+		if err != nil {
+			return nil, err
+		}
+		tapes[i] = t
+	}
+	return sim.RunMulticoreTapes(ctx, tapes, e.SimConfig(llc))
 }
 
 // Predictions unpacks a batch of Predict results, failing on the first

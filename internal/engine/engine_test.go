@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -826,5 +828,145 @@ func TestTimedJobDisabledTraceAllocs(t *testing.T) {
 	if instrumented > base {
 		t.Fatalf("timedJob allocates %.1f/run vs %.1f bare: tracing off is not alloc-free",
 			instrumented, base)
+	}
+}
+
+// simBits renders every field of a simulation result, floats as their
+// bit patterns, so two renderings are equal only for bit-identical
+// results.
+func simBits(r *sim.MulticoreResult) string {
+	var b strings.Builder
+	fmt.Fprint(&b, r.Benchmarks, r.Instructions, r.LLCAccesses, r.LLCMisses, r.LLCStats,
+		math.Float64bits(r.TotalCycles))
+	for i := range r.CPI {
+		fmt.Fprint(&b, " ", math.Float64bits(r.CPI[i]), math.Float64bits(r.Cycles[i]))
+	}
+	return b.String()
+}
+
+// TestSimulateFromStoredRecording: a replica whose recordings come from
+// the store simulates on tapes attached to them, runs no frontend
+// recording, and matches the live simulator bit for bit.
+func TestSimulateFromStoredRecording(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	mixes := []workload.Mix{{"mcf", "gamess", "lbm", "povray"}, {"soplex", "soplex", "milc"}}
+	llcs := []cache.Config{cache.LLCConfigs()[0], cache.LLCConfigs()[5]}
+	var specs []trace.Spec
+	for _, n := range []string{"mcf", "gamess", "lbm", "povray", "soplex", "milc"} {
+		s, err := trace.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s)
+	}
+	if _, err := storeEngine(dir).ProfileConfigs(ctx, specs, llcs); err != nil {
+		t.Fatal(err)
+	}
+
+	replica := storeEngine(dir)
+	grid, err := replica.Sweep(ctx, mixes, llcs, Simulate, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := replica.RecordingComputations(); got != 0 {
+		t.Fatalf("replica ran %d frontend recordings, want 0", got)
+	}
+	if hits := replica.Store().Stats().RecordingHits; hits != int64(len(specs)) {
+		t.Fatalf("replica loaded %d recordings from the store, want %d", hits, len(specs))
+	}
+	for c, llc := range llcs {
+		for m, mix := range mixes {
+			r := grid[c][m]
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			mspecs, err := mixSpecs(mix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sim.RunMulticore(ctx, mspecs, replica.SimConfig(llc), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := simBits(r.Simulation), simBits(want); got != want {
+				t.Errorf("%s on %s:\n tapes %s\n live  %s", mix.Key(), llc.Name, got, want)
+			}
+		}
+	}
+}
+
+// TestTapeEvictedWithRecording: a tape lives in its recording's cache
+// entry, so a recording the MaxCachedRecordings bound does not retain
+// takes its tape (and the trace passes simulations added to it) along.
+func TestTapeEvictedWithRecording(t *testing.T) {
+	eng := New(Config{TraceLength: testTraceLen, IntervalLength: testInterval, MaxCachedRecordings: 1})
+	ctx := context.Background()
+	llc := cache.LLCConfigs()[0]
+	mix := workload.Mix{"gamess", "mcf"}
+	res, err := eng.Run(ctx, []Job{{Mix: mix, LLC: llc, Kind: Simulate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	if recs, _, _ := eng.CacheSizes(); recs != 1 {
+		t.Fatalf("recording cache holds %d entries, bound is 1", recs)
+	}
+	evicted := 0
+	for _, name := range mix {
+		spec, err := trace.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.mu.Lock()
+		_, retained := eng.recordings[name]
+		eng.mu.Unlock()
+		before := eng.RecordingComputations()
+		t1, err := eng.tape(ctx, spec, llc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t2, err := eng.tape(ctx, spec, llc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recorded := eng.RecordingComputations() - before
+		switch {
+		case retained && (t1 != t2 || recorded != 0):
+			t.Errorf("%s: retained recording re-recorded %d times, same tape %v", name, recorded, t1 == t2)
+		case !retained && (t1 == t2 || recorded != 2):
+			t.Errorf("%s: evicted recording re-recorded %d times, same tape %v", name, recorded, t1 == t2)
+		}
+		if !retained {
+			evicted++
+		}
+	}
+	if evicted != 1 {
+		t.Fatalf("%d of the mix's recordings evicted, want 1", evicted)
+	}
+}
+
+// BenchmarkSimulateTapes is BenchmarkRunMulticore4's simulation (same
+// mix, scale and LLC; internal/sim) fed from the engine's tapes, which
+// an untimed first run has already extended: the cost of a detailed
+// simulation once the frontend work is cached.
+func BenchmarkSimulateTapes(b *testing.B) {
+	eng := New(Config{TraceLength: 1_000_000, IntervalLength: 50_000})
+	ctx := context.Background()
+	llc := cache.LLCConfigs()[0]
+	specs, err := mixSpecs(workload.Mix{"gamess", "lbm", "soplex", "povray"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.simulateTapes(ctx, specs, llc); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.simulateTapes(ctx, specs, llc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

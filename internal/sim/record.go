@@ -70,11 +70,23 @@ type closeMark struct {
 	base   float64
 }
 
+// stream is one pass of a trace's shared-LLC access stream: per access
+// the address, write/dependent flags and the absolute instruction count
+// and base-cycle total at the access, plus the two counters at the end
+// of the pass. Once built it is immutable.
+type stream struct {
+	addrs []uint64
+	flags []byte
+	instr []int64
+	base  []float64
+
+	endInstr int64
+	endBase  float64
+}
+
 // Recording is the frontend's compact capture of one benchmark trace:
-// the LLC access stream (address, write/dependent flags, absolute
-// instruction and base-cycle counters at each access) plus the interval
-// close schedule. It is immutable once built and safe for concurrent
-// replays.
+// the LLC access stream of its first pass plus the interval close
+// schedule. It is immutable once built and safe for concurrent replays.
 type Recording struct {
 	benchmark   string
 	traceLength int64
@@ -82,14 +94,8 @@ type Recording struct {
 	cpu         cpu.Params
 	l1d, l2     cache.Config
 
-	addrs []uint64
-	flags []byte
-	instr []int64
-	base  []float64
-
-	closes   []closeMark
-	endInstr int64
-	endBase  float64
+	stream
+	closes []closeMark
 }
 
 // Benchmark returns the recorded workload's name.
@@ -126,11 +132,6 @@ func Record(ctx context.Context, rd trace.Source, cfg Config) (*Recording, error
 		obs.Sim.Log(ctx, obs.LevelDebug, "record start",
 			"benchmark", rd.Name(), "trace_length", cfg.TraceLength)
 	}
-	rd.Reset()
-	cur := trace.NewCursor(rd)
-	priv := cache.NewPrivate(cfg.Hierarchy)
-	tm := cpu.NewTiming(cfg.CPU)
-
 	rec := &Recording{
 		benchmark:   rd.Name(),
 		traceLength: cfg.TraceLength,
@@ -139,51 +140,10 @@ func Record(ctx context.Context, rd trace.Source, cfg Config) (*Recording, error
 		l1d:         cfg.Hierarchy.L1D,
 		l2:          cfg.Hierarchy.L2,
 	}
-	nextBoundary := cfg.IntervalLength
-	nextCtxCheck := int64(ctxCheckInterval)
-
-	for {
-		ref := cur.Next()
-		if ref == nil {
-			break
-		}
-		tm.OnGap(ref.Gap, ref.GapCycles)
-		if tm.Instructions() >= nextCtxCheck {
-			if err := ctx.Err(); err != nil {
-				sp.EndErr(err)
-				return nil, err
-			}
-			nextCtxCheck = tm.Instructions() + ctxCheckInterval
-		}
-		level := priv.Access(ref.Addr, ref.Write)
-		if level == 0 {
-			var f byte
-			if ref.Write {
-				f |= recFlagWrite
-			}
-			if ref.Dependent {
-				f |= recFlagDependent
-			}
-			rec.addrs = append(rec.addrs, ref.Addr)
-			rec.flags = append(rec.flags, f)
-			rec.instr = append(rec.instr, tm.Instructions())
-			rec.base = append(rec.base, tm.BaseCycles())
-		} else {
-			tm.OnAccess(level, 0, ref.Dependent)
-		}
-		// Mirror the direct path's boundary rule exactly: one close per
-		// reference at most, checked after the reference is charged.
-		if tm.Instructions() >= nextBoundary {
-			rec.closes = append(rec.closes, closeMark{
-				before: len(rec.addrs),
-				instr:  tm.Instructions(),
-				base:   tm.BaseCycles(),
-			})
-			nextBoundary += cfg.IntervalLength
-		}
+	if _, err := newRecorder(rd, cfg.CPU, cfg.Hierarchy).pass(ctx, &rec.stream, &rec.closes, cfg.IntervalLength); err != nil {
+		sp.EndErr(err)
+		return nil, err
 	}
-	rec.endInstr = tm.Instructions()
-	rec.endBase = tm.BaseCycles()
 	if traced {
 		obs.Sim.Log(ctx, obs.LevelInfo, "record done",
 			"benchmark", rec.benchmark, "llc_accesses", len(rec.addrs),
@@ -194,6 +154,83 @@ func Record(ctx context.Context, rd trace.Source, cfg Config) (*Recording, error
 		sp.End()
 	}
 	return rec, nil
+}
+
+// recorder is the LLC-independent profiling frontend of one core: the
+// trace cursor, the private L1/L2 caches and the gap timing model. Its
+// state carries over from one pass of the trace to the next, as a core
+// that restarts its trace keeps its warm private caches.
+type recorder struct {
+	cur  *trace.Cursor
+	priv *cache.Private
+	tm   *cpu.Timing
+}
+
+func newRecorder(src trace.Source, p cpu.Params, h cache.HierarchyConfig) *recorder {
+	return &recorder{cur: trace.NewCursor(src), priv: cache.NewPrivate(h), tm: cpu.NewTiming(p)}
+}
+
+// pass runs the trace once from its start and returns the number of
+// accesses that reached the LLC. It appends them to s unless s is nil,
+// and, when closes is non-nil, the interval closes every interval
+// instructions from the first pass's start. The LLC accesses themselves
+// are not charged: that is the LLC-dependent part a replay or a
+// multi-core simulation adds.
+func (r *recorder) pass(ctx context.Context, s *stream, closes *[]closeMark, interval int64) (int, error) {
+	cur, priv, tm := r.cur, r.priv, r.tm
+	cur.Reset()
+	nextBoundary := int64(math.MaxInt64)
+	if closes != nil {
+		nextBoundary = interval
+	}
+	nextCtxCheck := tm.Instructions() + ctxCheckInterval
+	accesses := 0
+	for {
+		ref := cur.Next()
+		if ref == nil {
+			break
+		}
+		tm.OnGap(ref.Gap, ref.GapCycles)
+		if tm.Instructions() >= nextCtxCheck {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+			nextCtxCheck = tm.Instructions() + ctxCheckInterval
+		}
+		level := priv.Access(ref.Addr, ref.Write)
+		if level == 0 {
+			accesses++
+			if s != nil {
+				var f byte
+				if ref.Write {
+					f |= recFlagWrite
+				}
+				if ref.Dependent {
+					f |= recFlagDependent
+				}
+				s.addrs = append(s.addrs, ref.Addr)
+				s.flags = append(s.flags, f)
+				s.instr = append(s.instr, tm.Instructions())
+				s.base = append(s.base, tm.BaseCycles())
+			}
+		} else {
+			tm.OnAccess(level, 0, ref.Dependent)
+		}
+		// Mirror the direct path's boundary rule exactly: one close per
+		// reference at most, checked after the reference is charged.
+		if tm.Instructions() >= nextBoundary {
+			*closes = append(*closes, closeMark{
+				before: len(s.addrs),
+				instr:  tm.Instructions(),
+				base:   tm.BaseCycles(),
+			})
+			nextBoundary += interval
+		}
+	}
+	if s != nil {
+		s.endInstr, s.endBase = tm.Instructions(), tm.BaseCycles()
+	}
+	return accesses, nil
 }
 
 // compatibleWith reports whether cfg's frontend-side parameters match
@@ -453,13 +490,15 @@ func RecordingFromData(d RecordingData) (*Recording, error) {
 		cpu:         d.CPU,
 		l1d:         d.L1D,
 		l2:          d.L2,
-		addrs:       d.Addrs,
-		flags:       d.Flags,
-		instr:       d.Instr,
-		base:        d.Base,
-		closes:      make([]closeMark, nc),
-		endInstr:    d.EndInstr,
-		endBase:     d.EndBase,
+		stream: stream{
+			addrs:    d.Addrs,
+			flags:    d.Flags,
+			instr:    d.Instr,
+			base:     d.Base,
+			endInstr: d.EndInstr,
+			endBase:  d.EndBase,
+		},
+		closes: make([]closeMark, nc),
 	}
 	for i := 0; i < nc; i++ {
 		rec.closes[i] = closeMark{before: d.CloseBefore[i], instr: d.CloseInstr[i], base: d.CloseBase[i]}

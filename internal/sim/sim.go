@@ -14,10 +14,19 @@
 // paper cites: every program runs until it completes its trace at least
 // once, restarting when it finishes early so that contention persists;
 // each program's multi-core CPI is taken over its first full pass.
+//
+// One event loop drives every multi-core simulation; a per-core frontend
+// supplies each core's LLC accesses. RunMulticore and
+// RunMulticoreSources use the live frontend, which runs the trace
+// through the private caches as the simulation goes, and alone supports
+// per-core frequency scaling. RunMulticoreTapes reads each core's
+// accesses from a Tape instead: the LLC-independent work recorded once,
+// across as many trace passes as simulations have needed, and reused by
+// every later simulation of that benchmark. Both frontends produce
+// bit-identical results (TestTapeMatchesLive).
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -33,7 +42,7 @@ import (
 
 // coreAddrShift positions the core ID in the upper address bits so that
 // the address spaces of co-running programs never alias in shared caches.
-const coreAddrShift = 44
+const coreAddrShift = trace.AddrBits
 
 // Config carries everything needed to run a simulation.
 type Config struct {
@@ -118,7 +127,7 @@ func ProfileWithOptions(ctx context.Context, spec trace.Spec, cfg Config, opts P
 
 // ProfileSource profiles an arbitrary trace source (synthetic reader,
 // recorded trace, or user-provided). The source's instruction count
-// overrides cfg.TraceLength. Addresses must stay below 1<<44.
+// overrides cfg.TraceLength. Addresses must stay below 1<<trace.AddrBits.
 //
 // ProfileSource is the direct single-pass path and the differential
 // oracle for the record/replay pipeline: Record + Recording.Replay must
@@ -271,32 +280,32 @@ type llcEvent struct {
 	dependent bool
 }
 
-type eventHeap []llcEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before reports whether a is served before b: in cycle order, with
+// ties going to the lower core, so the order is total and deterministic.
+func (a llcEvent) before(b llcEvent) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].core < h[j].core // deterministic tie-break
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(llcEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
+	return a.core < b.core
 }
 
-// coreState drives one program on one core.
+// frontend supplies one core's shared-LLC accesses: everything below
+// the LLC, which no other core and no LLC configuration can influence.
+type frontend interface {
+	// next advances c to its next LLC access and returns it, timed at
+	// c's cycle count when the access issues. On reaching the end of
+	// c's first trace pass it calls c.finish, and it restarts the trace
+	// when a pass ends. If a whole further pass has no LLC access, the
+	// core can no longer interact with the others: next reports
+	// ok=false and the core goes dormant.
+	next(ctx context.Context, c *coreState) (ev llcEvent, ok bool, err error)
+}
+
+// coreState is one program on one core.
 type coreState struct {
-	id     int
-	cur    *trace.Cursor
-	priv   *cache.Private
-	tm     *cpu.Timing
-	offset uint64
+	id int
+	tm *cpu.Timing
+	fe frontend
 
 	finished     bool
 	finishCycles float64
@@ -304,51 +313,65 @@ type coreState struct {
 
 	llcAccesses int64
 	llcMisses   int64
+}
+
+// finish records the core's first-pass statistics once.
+func (c *coreState) finish() {
+	if !c.finished {
+		c.finished = true
+		c.finishCycles = c.tm.Cycles()
+		c.finishInstrs = c.tm.Instructions()
+	}
+}
+
+// event builds the core's LLC access to addr at its current cycle
+// count, with the core ID tagged into the address.
+func (c *coreState) event(addr uint64, write, dependent bool) llcEvent {
+	return llcEvent{
+		time:      c.tm.Cycles(),
+		core:      c.id,
+		addr:      addr | (uint64(c.id+1) << coreAddrShift),
+		write:     write,
+		dependent: dependent,
+	}
+}
+
+// liveFrontend runs the core's trace through its private caches as the
+// simulation goes. It polls ctx every ~64K instructions so cancellation
+// aborts even a core that is streaming through a long LLC-quiet stretch.
+type liveFrontend struct {
+	cur  *trace.Cursor
+	priv *cache.Private
 
 	nextCtxCheck int64 // instruction count of the next cancellation poll
 }
 
-// advance runs the core until its next LLC access. It restarts the trace
-// on completion, recording first-pass statistics once. If a full pass
-// completes without any LLC access the core is dormant (it cannot
-// interact with other programs) and advance reports ok=false. It polls
-// ctx every ~64K instructions so cancellation aborts even a core that is
-// streaming through a long LLC-quiet stretch.
-func (c *coreState) advance(ctx context.Context, llcLat int) (ev llcEvent, ok bool, err error) {
+// next implements frontend.
+func (f *liveFrontend) next(ctx context.Context, c *coreState) (llcEvent, bool, error) {
 	resets := 0
 	for {
-		ref := c.cur.Next()
+		ref := f.cur.Next()
 		if ref == nil {
-			if !c.finished {
-				c.finished = true
-				c.finishCycles = c.tm.Cycles()
-				c.finishInstrs = c.tm.Instructions()
-			}
+			c.finish()
 			resets++
 			if resets >= 2 {
 				return llcEvent{}, false, nil
 			}
-			c.cur.Reset()
+			f.cur.Reset()
 			continue
 		}
 		c.tm.OnGap(ref.Gap, ref.GapCycles)
-		if c.tm.Instructions() >= c.nextCtxCheck {
+		if c.tm.Instructions() >= f.nextCtxCheck {
 			if err := ctx.Err(); err != nil {
 				return llcEvent{}, false, err
 			}
-			c.nextCtxCheck = c.tm.Instructions() + ctxCheckInterval
+			f.nextCtxCheck = c.tm.Instructions() + ctxCheckInterval
 		}
-		level := c.priv.Access(ref.Addr, ref.Write)
+		level := f.priv.Access(ref.Addr, ref.Write)
 		if level == 0 {
-			return llcEvent{
-				time:      c.tm.Cycles(),
-				core:      c.id,
-				addr:      ref.Addr | (uint64(c.id+1) << coreAddrShift),
-				write:     ref.Write,
-				dependent: ref.Dependent,
-			}, true, nil
+			return c.event(ref.Addr, ref.Write, ref.Dependent), true, nil
 		}
-		c.tm.OnAccess(level, llcLat, ref.Dependent)
+		c.tm.OnAccess(level, 0, ref.Dependent)
 	}
 }
 
@@ -356,7 +379,8 @@ func (c *coreState) advance(ctx context.Context, llcLat int) (ev llcEvent, ok bo
 // program per core; repeated specs are independent copies with disjoint
 // address spaces). freqScale optionally gives per-core frequency
 // multipliers for the heterogeneous-multi-core extension; nil means all
-// cores run at baseline frequency.
+// cores run at baseline frequency. Every core runs its trace live;
+// RunMulticoreTapes gives the same result from recorded streams.
 func RunMulticore(ctx context.Context, specs []trace.Spec, cfg Config, freqScale []float64) (*MulticoreResult, error) {
 	for _, s := range specs {
 		if s.Footprint() >= 1<<coreAddrShift {
@@ -377,7 +401,8 @@ func RunMulticore(ctx context.Context, specs []trace.Spec, cfg Config, freqScale
 // RunMulticoreSources is RunMulticore over arbitrary trace sources (one
 // per core). Sources may have differing instruction counts; each
 // program's CPI is measured over its own first full pass. Addresses must
-// stay below 1<<44. Cancelling ctx aborts the simulation mid-run.
+// stay below 1<<trace.AddrBits. Cancelling ctx aborts the simulation
+// mid-run.
 func RunMulticoreSources(ctx context.Context, srcs []trace.Source, cfg Config, freqScale []float64) (*MulticoreResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -389,10 +414,8 @@ func RunMulticoreSources(ctx context.Context, srcs []trace.Source, cfg Config, f
 	if freqScale != nil && len(freqScale) != n {
 		return nil, fmt.Errorf("sim: freqScale has %d entries for %d cores", len(freqScale), n)
 	}
-
-	llc := cache.New(cfg.Hierarchy.LLC)
-	llcLat := cfg.Hierarchy.LLC.LatencyCycles
 	cores := make([]*coreState, n)
+	names := make([]string, n)
 	for i, src := range srcs {
 		src.Reset()
 		tm := cpu.NewTiming(cfg.CPU)
@@ -400,34 +423,63 @@ func RunMulticoreSources(ctx context.Context, srcs []trace.Source, cfg Config, f
 			tm.SetFrequencyScale(freqScale[i])
 		}
 		cores[i] = &coreState{
-			id:           i,
-			cur:          trace.NewCursor(src),
-			priv:         cache.NewPrivate(cfg.Hierarchy),
-			tm:           tm,
-			nextCtxCheck: ctxCheckInterval,
+			id: i,
+			tm: tm,
+			fe: &liveFrontend{
+				cur:          trace.NewCursor(src),
+				priv:         cache.NewPrivate(cfg.Hierarchy),
+				nextCtxCheck: ctxCheckInterval,
+			},
 		}
+		names[i] = src.Name()
 	}
+	return simulate(ctx, cores, names, cfg)
+}
 
+// simulate is the event loop shared by every frontend: it interleaves
+// the cores' LLC accesses into the shared LLC in global cycle order
+// until every program has completed its first pass.
+func simulate(ctx context.Context, cores []*coreState, names []string, cfg Config) (*MulticoreResult, error) {
+	n := len(cores)
+	llc := cache.New(cfg.Hierarchy.LLC)
+	llcLat := cfg.Hierarchy.LLC.LatencyCycles
 	unfinished := n
 	busFreeAt := 0.0
-	h := &eventHeap{}
-	heap.Init(h)
-	for _, c := range cores {
+	// At most one pending event per core, so a linear scan for the
+	// earliest beats a heap at any realistic core count.
+	pending := make([]llcEvent, 0, n)
+	advance := func(c *coreState) error {
 		wasFinished := c.finished
-		ev, ok, err := c.advance(ctx, llcLat)
+		ev, ok, err := c.fe.next(ctx, c)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ok {
-			heap.Push(h, ev)
+			pending = append(pending, ev)
 		}
 		if c.finished && !wasFinished {
 			unfinished--
 		}
+		return nil
+	}
+	for _, c := range cores {
+		if err := advance(c); err != nil {
+			return nil, err
+		}
 	}
 
-	for unfinished > 0 && h.Len() > 0 {
-		ev := heap.Pop(h).(llcEvent)
+	for unfinished > 0 && len(pending) > 0 {
+		k := 0
+		for j := 1; j < len(pending); j++ {
+			if pending[j].before(pending[k]) {
+				k = j
+			}
+		}
+		ev := pending[k]
+		last := len(pending) - 1
+		pending[k] = pending[last]
+		pending = pending[:last]
+
 		c := cores[ev.core]
 		hit, _, _ := llc.Access(ev.addr, ev.write)
 		c.llcAccesses++
@@ -445,16 +497,8 @@ func RunMulticoreSources(ctx context.Context, srcs []trace.Source, cfg Config, f
 				busFreeAt = math.Max(busFreeAt, ev.time) + occ
 			}
 		}
-		wasFinished := c.finished
-		next, ok, err := c.advance(ctx, llcLat)
-		if err != nil {
+		if err := advance(c); err != nil {
 			return nil, err
-		}
-		if ok {
-			heap.Push(h, next)
-		}
-		if c.finished && !wasFinished {
-			unfinished--
 		}
 	}
 	if unfinished > 0 {
@@ -462,7 +506,7 @@ func RunMulticoreSources(ctx context.Context, srcs []trace.Source, cfg Config, f
 	}
 
 	res := &MulticoreResult{
-		Benchmarks:   make([]string, n),
+		Benchmarks:   names,
 		CPI:          make([]float64, n),
 		Cycles:       make([]float64, n),
 		Instructions: make([]int64, n),
@@ -471,7 +515,6 @@ func RunMulticoreSources(ctx context.Context, srcs []trace.Source, cfg Config, f
 		LLCStats:     llc.Stats(),
 	}
 	for i, c := range cores {
-		res.Benchmarks[i] = srcs[i].Name()
 		res.Cycles[i] = c.finishCycles
 		res.Instructions[i] = c.finishInstrs
 		res.CPI[i] = c.finishCycles / float64(c.finishInstrs)

@@ -8,11 +8,16 @@ import (
 	"math"
 )
 
+// AddrBits is the address width a Source may use: every address stays
+// below 1<<AddrBits, because the multi-core simulator tags core IDs into
+// the bits above it to keep co-running programs from aliasing.
+const AddrBits = 44
+
 // Source is a replayable stream of memory references. *Reader is the
 // synthetic implementation; Recorded replays a serialized trace; users
 // of the simulator can plug their own (e.g. traces converted from other
 // tools) as long as Reset regenerates the identical stream and all
-// addresses stay below 1<<44 (the simulator tags core IDs above that).
+// addresses stay below 1<<AddrBits.
 type Source interface {
 	// Name identifies the workload.
 	Name() string
@@ -115,7 +120,9 @@ type Recorded struct {
 }
 
 // NewRecorded builds a replayable trace from explicit references. The
-// instruction count is the sum of the gaps.
+// instruction count is the sum of the gaps. Every gap must be at least
+// one instruction costing a finite, non-negative number of cycles, and
+// every address must stay below 1<<AddrBits.
 func NewRecorded(name string, refs []Ref) (*Recorded, error) {
 	if name == "" {
 		return nil, fmt.Errorf("trace: recorded trace needs a name")
@@ -125,8 +132,12 @@ func NewRecorded(name string, refs []Ref) (*Recorded, error) {
 		if r.Gap < 1 {
 			return nil, fmt.Errorf("trace: ref %d has gap %d < 1", i, r.Gap)
 		}
-		if r.GapCycles < 0 {
-			return nil, fmt.Errorf("trace: ref %d has negative gap cycles", i)
+		// Written so that NaN fails too.
+		if !(r.GapCycles >= 0 && r.GapCycles <= math.MaxFloat64) {
+			return nil, fmt.Errorf("trace: ref %d has gap cycles %v, not a finite non-negative number", i, r.GapCycles)
+		}
+		if r.Addr >= 1<<AddrBits {
+			return nil, fmt.Errorf("trace: ref %d has address %#x, not below 1<<%d", i, r.Addr, AddrBits)
 		}
 		total += r.Gap
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -33,6 +34,62 @@ func TestNewRecordedValidation(t *testing.T) {
 	}
 	if _, err := NewRecorded("x", nil); err == nil {
 		t.Fatal("empty trace should error")
+	}
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewRecorded("x", []Ref{{Gap: 1}, {Gap: 1, GapCycles: c}}); err == nil {
+			t.Errorf("gap cycles %v should error", c)
+		}
+	}
+	if _, err := NewRecorded("x", []Ref{{Addr: 1<<AddrBits - 1, Gap: 1, GapCycles: math.MaxFloat64}}); err != nil {
+		t.Fatalf("largest address and gap cycles rejected: %v", err)
+	}
+	for _, a := range []uint64{1 << AddrBits, 1<<AddrBits | 64, math.MaxUint64} {
+		if _, err := NewRecorded("x", []Ref{{Addr: a, Gap: 1}}); err == nil {
+			t.Errorf("address %#x should error", a)
+		}
+	}
+}
+
+// TestReadTraceRejectsUnsimulatable crafts trace files whose records
+// would poison the simulator — a NaN or infinite gap cost, an address
+// that collides with the core tag bits — and checks ReadTrace (and with
+// it ImportTrace) refuses them, while the untouched file round-trips.
+func TestReadTraceRejectsUnsimulatable(t *testing.T) {
+	src, err := NewRecorded("crafted", []Ref{
+		{Addr: 0x1000, Gap: 2, GapCycles: 1.5},
+		{Addr: 0x2040, Write: true, Gap: 3, GapCycles: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	// Header: magic, version, name length, name, instruction count; then
+	// records of address, gap cycles, gap and flags.
+	second := 4 + 4 + 4 + len("crafted") + 8 + (8 + 8 + 4 + 1)
+	if _, err := ReadTrace(bytes.NewReader(file)); err != nil {
+		t.Fatalf("untouched file: %v", err)
+	}
+	for _, c := range []struct {
+		field string // what the error must name
+		off   int    // field offset in the record
+		val   uint64
+	}{
+		{"gap cycles NaN", 8, math.Float64bits(math.NaN())},
+		{"gap cycles +Inf", 8, math.Float64bits(math.Inf(1))},
+		{"address 0x100000002040", 0, 0x2040 | 1<<AddrBits},
+	} {
+		bad := bytes.Clone(file)
+		binary.LittleEndian.PutUint64(bad[second+c.off:], c.val)
+		tr, err := ReadTrace(bytes.NewReader(bad))
+		if err == nil {
+			t.Errorf("%s: ReadTrace accepted %d instructions", c.field, tr.Instructions())
+		} else if !strings.Contains(err.Error(), "ref 1 has "+c.field) {
+			t.Errorf("%s: ReadTrace error %q does not name the field", c.field, err)
+		}
 	}
 }
 
