@@ -102,6 +102,26 @@ func (k *Kernel) done() bool {
 	return true
 }
 
+// maxPosition bounds a program's trace position: float64 counts
+// instructions exactly only below 2^53, and the profile lookups turn
+// positions into interval indices.
+const maxPosition = 1 << 53
+
+// progressOK reports whether program p's slowdown and progress are in
+// the range the profile lookups handle. A validated profile can still
+// hold counters extreme enough (an interval of 1e-300 cycles) to
+// overflow R_p, and with it C and N_p; a NaN or huge position would
+// then index the profile out of range.
+func (k *Kernel) progressOK(p int) bool {
+	return finite(k.r[p]) && k.pos[p]+k.nProg[p] < maxPosition // false for NaN
+}
+
+// diverged is the error for a program that failed progressOK.
+func (k *Kernel) diverged(prof *profile.Profile, p int, C float64) error {
+	return fmt.Errorf("core: %s diverged: R_p %v, N_p %v over C %v cycles",
+		prof.Meta.Benchmark, k.r[p], k.nProg[p], C)
+}
+
 // run executes the model loop for an already-validated Model.
 func (k *Kernel) run(m *Model) (*Result, error) {
 	n := len(m.profiles)
@@ -155,9 +175,16 @@ func (k *Kernel) run(m *Model) (*Result, error) {
 		// once so N_p reflects the CPI of the window it actually covers.
 		for p, prof := range m.profiles {
 			k.nProg[p] = C / (k.cpiLocal[p] * k.r[p])
+			// N_p is checked before each profile lookup that uses it.
+			if !k.progressOK(p) {
+				return nil, k.diverged(prof, p, C)
+			}
 			refined := prof.CPIAt(k.pos[p], k.nProg[p]) / m.scale(p)
 			if refined > 0 {
 				k.nProg[p] = C / (refined * k.r[p])
+			}
+			if !k.progressOK(p) {
+				return nil, k.diverged(prof, p, C)
 			}
 		}
 
@@ -238,6 +265,10 @@ func (k *Kernel) run(m *Model) (*Result, error) {
 		}
 		res.Slowdown[p] = r
 		res.MultiCPI[p] = res.SingleCPI[p] * r
+		if !finite(res.MultiCPI[p]) {
+			return nil, fmt.Errorf("core: %s diverged: multi-core CPI %v",
+				res.Benchmarks[p], res.MultiCPI[p])
+		}
 	}
 
 	if res.STP, err = metrics.STP(res.SingleCPI, res.MultiCPI); err != nil {
@@ -248,3 +279,6 @@ func (k *Kernel) run(m *Model) (*Result, error) {
 	}
 	return res, nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf (x-x is NaN for both).
+func finite(x float64) bool { return x-x == 0 }

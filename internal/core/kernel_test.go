@@ -149,6 +149,8 @@ func TestKernelErrorsMatchModel(t *testing.T) {
 		{"bad smoothing", []*profile.Profile{p}, Options{Smoothing: 1}},
 		{"negative bandwidth", []*profile.Profile{p}, Options{BandwidthOccupancy: -1}},
 		{"bad frequency scale", []*profile.Profile{p}, Options{FrequencyScale: []float64{0}}},
+		{"NaN frequency scale", []*profile.Profile{p}, Options{FrequencyScale: []float64{math.NaN()}}},
+		{"infinite frequency scale", []*profile.Profile{p}, Options{FrequencyScale: []float64{math.Inf(1)}}},
 		{"scale count mismatch", []*profile.Profile{p}, Options{FrequencyScale: []float64{1, 1}}},
 	}
 	for _, tc := range cases {

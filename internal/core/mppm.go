@@ -151,8 +151,8 @@ func New(profiles []*profile.Profile, opts Options) (*Model, error) {
 				len(opts.FrequencyScale), len(profiles))
 		}
 		for i, s := range opts.FrequencyScale {
-			if s <= 0 {
-				return nil, fmt.Errorf("core: non-positive frequency scale for program %d", i)
+			if !(s > 0) || math.IsInf(s, 1) {
+				return nil, fmt.Errorf("core: frequency scale %v for program %d is not positive and finite", s, i)
 			}
 		}
 	}

@@ -469,7 +469,15 @@ func (c *Coordinator) run(w http.ResponseWriter, r *http.Request, p *evalPlan) {
 
 	em := newEmitter(w, p)
 	rb := newReorderBuffer(p.total())
+	unflushed := false
 	for !rb.Done() {
+		// Flush once the writer has caught up: every released row is
+		// written and no shard row is queued. Rows that arrive in a burst
+		// share one flush; a lone row still leaves before the loop waits.
+		if unflushed && len(rows) == 0 {
+			em.flush()
+			unflushed = false
+		}
 		select {
 		case err := <-fatal:
 			cancel()
@@ -501,6 +509,7 @@ func (c *Coordinator) run(w http.ResponseWriter, r *http.Request, p *evalPlan) {
 					cancel() // client gone; stop the fan-out
 					return
 				}
+				unflushed = true
 			}
 		}
 	}

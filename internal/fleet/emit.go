@@ -33,6 +33,9 @@ const (
 type emitter interface {
 	// row emits one in-order row; an error means the client is gone.
 	row(sc *service.ScenarioResult) error
+	// flush pushes every row emitted so far to the client. The merge
+	// loop calls it once it has caught up with the shards, not per row.
+	flush()
 	// fail terminates the response with an error: a plain error response
 	// if nothing has been sent, a trailing error frame mid-stream.
 	fail(err error)
@@ -52,8 +55,7 @@ func newEmitter(w http.ResponseWriter, p *evalPlan) emitter {
 	}
 }
 
-// streamEmitter forwards merged rows as NDJSON, flushing per row like
-// the replicas do.
+// streamEmitter forwards merged rows as NDJSON.
 type streamEmitter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
@@ -70,13 +72,14 @@ func (e *streamEmitter) row(sc *service.ScenarioResult) error {
 		e.w.WriteHeader(http.StatusOK)
 		e.started = true
 	}
-	if _, err := e.w.Write(line); err != nil {
-		return err
-	}
+	_, err = e.w.Write(line)
+	return err
+}
+
+func (e *streamEmitter) flush() {
 	if e.flusher != nil {
 		e.flusher.Flush()
 	}
-	return nil
 }
 
 func (e *streamEmitter) fail(err error) {
@@ -112,6 +115,8 @@ func (e *bufferedEmitter) row(sc *service.ScenarioResult) error {
 	e.scens = append(e.scens, *sc)
 	return nil
 }
+
+func (e *bufferedEmitter) flush() {}
 
 func (e *bufferedEmitter) fail(err error) {
 	writeJSONError(e.w, service.StatusForMessage(err.Error()), err.Error())
@@ -200,10 +205,13 @@ func (e *wireEmitter) row(sc *service.ScenarioResult) error {
 		return err
 	}
 	obs.WireRowsTotal.Inc()
+	return nil
+}
+
+func (e *wireEmitter) flush() {
 	if e.flusher != nil {
 		e.flusher.Flush()
 	}
-	return nil
 }
 
 func (e *wireEmitter) fail(err error) {

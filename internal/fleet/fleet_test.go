@@ -10,8 +10,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	mppm "repro"
 	"repro/internal/obs"
@@ -751,5 +753,145 @@ func TestWireVersionSkewFallback(t *testing.T) {
 		if forced[i] != want[i] {
 			t.Fatalf("forced-JSON row %d differs from binary exchange", i)
 		}
+	}
+}
+
+// gatedReplica proxies a replica handler. The first eval response it
+// serves is pushed to the client up to and including its first row;
+// the next write then blocks until release is closed — a replica that
+// has one row done and is still computing the rest.
+type gatedReplica struct {
+	h       http.Handler
+	armed   atomic.Bool
+	held    atomic.Bool // a write is blocked on release
+	release chan struct{}
+}
+
+func (g *gatedReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/eval" && g.armed.CompareAndSwap(true, false) {
+		w = &gateWriter{ResponseWriter: w, g: g, ctx: r.Context()}
+	}
+	g.h.ServeHTTP(w, r)
+}
+
+type gateWriter struct {
+	http.ResponseWriter
+	g      *gatedReplica
+	ctx    context.Context
+	writes int
+}
+
+func (w *gateWriter) Write(b []byte) (int, error) {
+	// One Write per row in both transports, plus the wire preamble.
+	firstRow := 1
+	if w.Header().Get("Content-Type") == wire.ContentType {
+		firstRow = 2
+	}
+	if w.writes == firstRow {
+		w.Flush()
+		w.g.held.Store(true)
+		select {
+		case <-w.g.release:
+		case <-w.ctx.Done():
+		}
+	}
+	w.writes++
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *gateWriter) Flush() {
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// TestFleetStreamsIncrementally: the coordinator must hand row 0 to its
+// client while the replica that owns it still holds back the rest of its
+// shard — merged rows are flushed once the merge loop has caught up, not
+// only at the end — and the released stream must still match a single
+// node.
+func TestFleetStreamsIncrementally(t *testing.T) {
+	single, _ := newReplica(t, "")
+	released := make(chan struct{})
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(released) }) }
+	t.Cleanup(release)
+	var peers []string
+	var gates []*gatedReplica
+	var servers []*httptest.Server
+	for i := 0; i < 2; i++ {
+		sys := mppm.NewSystem(mppm.DefaultLLC(), mppm.WithScale(testTraceLen, testInterval))
+		g := &gatedReplica{h: service.New(sys).Handler(), release: released}
+		ts := httptest.NewServer(g)
+		t.Cleanup(ts.Close)
+		gates, servers, peers = append(gates, g), append(servers, ts), append(peers, ts.URL)
+	}
+	mixes := suiteMixes()[:8]
+	ring, err := NewRing(peers, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := gates[ring.Owner("config#1|"+strings.Join(mixes[0], "|"), nil)]
+	gate.armed.Store(true)
+	c, err := New(Config{Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := httptest.NewServer(c.Mount(servers[0].Config.Handler))
+	t.Cleanup(coord.Close)
+
+	req := map[string]any{"mixes": mixes, "configs": []string{"config#1"}, "stream": true}
+	_, want := postRaw(t, single.URL+"/v1/eval", req)
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Even the response headers only arrive with a flush, so the request
+	// itself runs under the deadline.
+	type firstRow struct {
+		resp *http.Response
+		br   *bufio.Reader
+		line []byte
+		err  error
+	}
+	first := make(chan firstRow, 1)
+	go func() {
+		resp, err := http.Post(coord.URL+"/v1/eval", "application/json", bytes.NewReader(body))
+		if err != nil {
+			first <- firstRow{err: err}
+			return
+		}
+		br := bufio.NewReader(resp.Body)
+		line, err := br.ReadBytes('\n')
+		first <- firstRow{resp, br, line, err}
+	}()
+	var f firstRow
+	select {
+	case f = <-first:
+	case <-time.After(20 * time.Second):
+		release()
+		t.Fatal("row 0 did not reach the client while the replica held back the rest of its shard")
+	}
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
+	defer f.resp.Body.Close()
+	if f.resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", f.resp.StatusCode, f.line)
+	}
+	// The gate engages right after the replica's first row; it may not
+	// have yet if the replica flushed that row itself while computing.
+	for deadline := time.Now().Add(20 * time.Second); !gate.held.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the replica was never held back after its first row")
+		}
+	}
+	release()
+	rest, err := io.ReadAll(f.br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := append(f.line, rest...); !bytes.Equal(got, want) {
+		t.Fatalf("gated fleet stream differs from single node:\n got %s\nwant %s", got, want)
 	}
 }

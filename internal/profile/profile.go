@@ -136,13 +136,17 @@ func (p *Profile) validate() error {
 		return fmt.Errorf("profile %s: no intervals", p.Meta.Benchmark)
 	}
 	var total int64
+	// sum adds the cycle, stall and access counters: it is finite only if
+	// every whole-trace aggregate (CPI, MemCPI, APKI) and every prefix
+	// sum of those counters is finite.
+	sum := 0.0
 	for i, iv := range p.Intervals {
 		if iv.Instructions <= 0 {
 			return fmt.Errorf("profile %s: interval %d has %d instructions",
 				p.Meta.Benchmark, i, iv.Instructions)
 		}
-		if iv.Cycles < 0 || iv.MemStall < 0 || iv.LLCAccesses < 0 {
-			return fmt.Errorf("profile %s: interval %d has negative counters",
+		if !nonNegFinite(iv.Cycles) || !nonNegFinite(iv.MemStall) || !nonNegFinite(iv.LLCAccesses) {
+			return fmt.Errorf("profile %s: interval %d has negative or non-finite counters",
 				p.Meta.Benchmark, i)
 		}
 		if err := iv.SDC.Validate(); err != nil {
@@ -153,13 +157,21 @@ func (p *Profile) validate() error {
 				p.Meta.Benchmark, i, iv.SDC.Ways(), p.Meta.LLC.Ways)
 		}
 		total += iv.Instructions
+		sum += iv.Cycles + iv.MemStall + iv.LLCAccesses
 	}
 	if total != p.Meta.TraceLength {
 		return fmt.Errorf("profile %s: intervals cover %d instructions, trace is %d",
 			p.Meta.Benchmark, total, p.Meta.TraceLength)
 	}
+	if math.IsInf(sum, 1) {
+		return fmt.Errorf("profile %s: counters overflow when summed", p.Meta.Benchmark)
+	}
 	return nil
 }
+
+// nonNegFinite reports whether v is a usable counter: not negative, NaN
+// or infinite.
+func nonNegFinite(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // TotalInstructions returns the total instruction count across intervals.
 func (p *Profile) TotalInstructions() int64 {

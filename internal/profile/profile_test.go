@@ -52,6 +52,15 @@ func TestValidateErrors(t *testing.T) {
 		func(p *Profile) { p.Intervals = nil },
 		func(p *Profile) { p.Intervals[0].Instructions = 0 },
 		func(p *Profile) { p.Intervals[0].Cycles = -1 },
+		func(p *Profile) { p.Intervals[0].Cycles = math.NaN() },
+		func(p *Profile) { p.Intervals[1].MemStall = math.Inf(1) },
+		func(p *Profile) { p.Intervals[2].LLCAccesses = math.NaN() },
+		func(p *Profile) { p.Intervals[2].LLCAccesses = math.Inf(-1) },
+		func(p *Profile) { p.Intervals[1].SDC[0] = math.Inf(1) },
+		func(p *Profile) { // each counter finite, their sum is not
+			p.Intervals[0].Cycles = math.MaxFloat64
+			p.Intervals[1].Cycles = math.MaxFloat64
+		},
 		func(p *Profile) { p.Intervals[0].SDC = sdc.Counters{1, 2, 3, 4} }, // wrong ways
 		func(p *Profile) { p.Intervals[0].SDC[1] = -1 },
 		func(p *Profile) { p.Meta.TraceLength = 999 },

@@ -14,6 +14,7 @@ package sdc
 
 import (
 	"fmt"
+	"math"
 )
 
 // Counters holds an SDC: Counters[i] for 0 <= i < Ways() counts hits at
@@ -155,7 +156,7 @@ func (c Counters) MissesBeyond(e, accesses float64) float64 {
 	if e >= float64(a) {
 		return c.Misses()
 	}
-	if e < 0 {
+	if !(e >= 0) { // NaN too: an overflowed window must not index by int(NaN)
 		e = 0
 	}
 	// hits(e) = sum of counters for depths <= floor(e), plus a fractional
@@ -189,7 +190,7 @@ func (c Counters) Validate() error {
 		return fmt.Errorf("sdc: too short (%d)", len(c))
 	}
 	for i, v := range c {
-		if v < 0 || v != v { // v != v catches NaN
+		if !(v >= 0) || math.IsInf(v, 1) { // !(v >= 0) catches NaN
 			return fmt.Errorf("sdc: counter %d invalid (%v)", i, v)
 		}
 	}

@@ -159,6 +159,12 @@ func TestValidate(t *testing.T) {
 	if err := (Counters{1, math.NaN(), 3}).Validate(); err == nil {
 		t.Fatal("NaN counter should fail")
 	}
+	if err := (Counters{1, 2, math.Inf(1)}).Validate(); err == nil {
+		t.Fatal("+Inf counter should fail")
+	}
+	if err := (Counters{math.Inf(-1), 2, 3}).Validate(); err == nil {
+		t.Fatal("-Inf counter should fail")
+	}
 }
 
 func TestMonitorBasic(t *testing.T) {

@@ -102,14 +102,6 @@ func BenchmarkEvalStreamWire(b *testing.B) {
 func BenchmarkCoalescedEval(b *testing.B) {
 	_, rows := benchRows()
 	const readers = 4
-	coalRows := make([]coalRow, len(rows))
-	for i := range rows {
-		line, err := appendRowLine(nil, &rows[i])
-		if err != nil {
-			b.Fatal(err)
-		}
-		coalRows[i] = coalRow{sc: rows[i], line: line}
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -135,8 +127,8 @@ func BenchmarkCoalescedEval(b *testing.B) {
 				}
 			}()
 		}
-		for j := range coalRows {
-			se.append(coalRows[j])
+		for j := range rows {
+			se.append(rows[j])
 		}
 		se.finish(nil)
 		wg.Wait()

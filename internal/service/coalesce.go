@@ -31,14 +31,6 @@ import (
 // still reading trimmed rows is kicked. A var so tests can shrink it.
 var maxSpillRows = 4096
 
-// coalRow is one broadcast row: the decoded scenario plus its compact
-// JSON line, encoded once by the producer and shared by every NDJSON
-// subscriber. Both fields are immutable once appended.
-type coalRow struct {
-	sc   ScenarioResult
-	line []byte
-}
-
 // coalEvent tells a subscriber what next() resolved to.
 type coalEvent int
 
@@ -75,12 +67,12 @@ type sharedEval struct {
 	traceID string // trace the creating request belonged to; "" unsampled
 
 	mu        sync.Mutex
-	notify    chan struct{} // closed and replaced on every state change
-	rows      []coalRow     // retained window; rows[0] is global row `base`
-	base      int           // global index of rows[0]
-	sealed    bool          // log trimmed: no new subscribers
-	done      bool          // producer finished (cleanly or not)
-	streamErr error         // stream-level failure; nil on clean end
+	notify    chan struct{}    // closed and replaced on every state change
+	rows      []ScenarioResult // retained window; rows[0] is global row `base`; immutable once appended
+	base      int              // global index of rows[0]
+	sealed    bool             // log trimmed: no new subscribers
+	done      bool             // producer finished (cleanly or not)
+	streamErr error            // stream-level failure; nil on clean end
 	subs      int
 }
 
@@ -185,14 +177,7 @@ func (s *Server) runSharedEval(se *sharedEval, mreq mppm.Request) {
 			se.finish(err)
 			return
 		}
-		row := coalRow{sc: toScenarioResult(&sc)}
-		line, lerr := appendRowLine(nil, &row.sc)
-		if lerr != nil {
-			se.finish(lerr)
-			return
-		}
-		row.line = line
-		se.append(row)
+		se.append(toScenarioResult(&sc))
 	}
 	se.finish(nil)
 }
@@ -207,7 +192,7 @@ func (se *sharedEval) broadcast() {
 // when it outgrows the replay window. Trimming happens in batches —
 // only once the log reaches 1.5x the window, dropping back down to the
 // window — so the copy cost is amortized O(1) per row.
-func (se *sharedEval) append(row coalRow) {
+func (se *sharedEval) append(row ScenarioResult) {
 	se.mu.Lock()
 	se.rows = append(se.rows, row)
 	if len(se.rows) > maxSpillRows+maxSpillRows/2 {
@@ -262,13 +247,13 @@ func (se *sharedEval) leave() {
 // next blocks until global row idx (or a terminal state) is available.
 // The row is returned by value: the producer may trim the log the
 // moment the lock is released.
-func (se *sharedEval) next(ctx context.Context, idx int) (coalRow, coalEvent, error) {
+func (se *sharedEval) next(ctx context.Context, idx int) (ScenarioResult, coalEvent, error) {
 	for {
 		se.mu.Lock()
 		switch {
 		case idx < se.base:
 			se.mu.Unlock()
-			return coalRow{}, evLagged, errFellBehind
+			return ScenarioResult{}, evLagged, errFellBehind
 		case idx < se.base+len(se.rows):
 			row := se.rows[idx-se.base]
 			se.mu.Unlock()
@@ -277,18 +262,28 @@ func (se *sharedEval) next(ctx context.Context, idx int) (coalRow, coalEvent, er
 			err := se.streamErr
 			se.mu.Unlock()
 			if err != nil {
-				return coalRow{}, evErr, err
+				return ScenarioResult{}, evErr, err
 			}
-			return coalRow{}, evEnd, nil
+			return ScenarioResult{}, evEnd, nil
 		}
 		ch := se.notify
 		se.mu.Unlock()
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			return coalRow{}, evGone, ctx.Err()
+			return ScenarioResult{}, evGone, ctx.Err()
 		}
 	}
+}
+
+// ready reports whether next(idx) would return without waiting for the
+// producer. The streaming writers flush only when it is false: rows that
+// complete in a burst share one flush, and the client still sees every
+// row as soon as the writer would otherwise sit idle.
+func (se *sharedEval) ready(idx int) bool {
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	return idx < se.base+len(se.rows) || se.done
 }
 
 // coalescedEval serves one /v1/eval request through the coalescer,
@@ -308,35 +303,44 @@ func (s *Server) coalescedEval(w http.ResponseWriter, r *http.Request, mreq mppm
 
 // serveCoalescedNDJSON renders the shared stream as NDJSON with the
 // historical semantics: a failure before the first row is a plain
-// error response; mid-stream it becomes a trailing error line.
+// error response; mid-stream it becomes a trailing error line. Each
+// subscriber encodes its own lines into one reused buffer.
 func serveCoalescedNDJSON(w http.ResponseWriter, r *http.Request, se *sharedEval) {
 	flusher, _ := w.(http.Flusher)
 	started := false
+	fail := func(err error) {
+		if !started {
+			writeError(w, err)
+			return
+		}
+		if line, lerr := appendRowLine(nil, errorBody{Error: err.Error()}); lerr == nil {
+			_, _ = w.Write(line)
+		}
+	}
+	var line []byte
 	for idx := 0; ; idx++ {
 		row, ev, err := se.next(r.Context(), idx)
 		switch ev {
 		case evRow:
+			if line, err = appendRowLine(line[:0], &row); err != nil {
+				fail(err)
+				return
+			}
 			if !started {
 				w.Header().Set("Content-Type", ndjsonContentType)
 				w.WriteHeader(http.StatusOK)
 				started = true
 			}
-			if _, werr := w.Write(row.line); werr != nil {
+			if _, werr := w.Write(line); werr != nil {
 				return // client gone
 			}
-			if flusher != nil {
+			if flusher != nil && !se.ready(idx+1) {
 				flusher.Flush()
 			}
 		case evEnd:
 			return
 		case evErr, evLagged:
-			if !started {
-				writeError(w, err)
-				return
-			}
-			if line, lerr := appendRowLine(nil, errorBody{Error: err.Error()}); lerr == nil {
-				_, _ = w.Write(line)
-			}
+			fail(err)
 			return
 		case evGone:
 			return
@@ -378,11 +382,11 @@ func (s *Server) serveCoalescedWire(w http.ResponseWriter, r *http.Request, se *
 			if ww == nil && !start() {
 				return
 			}
-			if werr := ww.WriteRow(&row.sc); werr != nil {
+			if werr := ww.WriteRow(&row); werr != nil {
 				return
 			}
 			obs.WireRowsTotal.Inc()
-			if flusher != nil {
+			if flusher != nil && !se.ready(idx+1) {
 				flusher.Flush()
 			}
 		case evEnd:
@@ -415,7 +419,7 @@ func (s *Server) serveCoalescedBuffered(w http.ResponseWriter, r *http.Request, 
 		row, ev, err := se.next(r.Context(), idx)
 		switch ev {
 		case evRow:
-			scens = append(scens, row.sc)
+			scens = append(scens, row)
 		case evEnd:
 			allFailed := len(scens) > 0
 			for i := range scens {

@@ -366,11 +366,7 @@ func TestCoalescedErrorPropagation(t *testing.T) {
 		}()
 	}
 
-	line, err := appendRowLine(nil, &ScenarioResult{Mix: []string{"a"}, Config: "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	se.append(coalRow{sc: ScenarioResult{Mix: []string{"a"}, Config: "c"}, line: line})
+	se.append(ScenarioResult{Mix: []string{"a"}, Config: "c"})
 	se.finish(boom)
 
 	for i := 0; i < 3; i++ {
@@ -400,7 +396,7 @@ func TestCoalescedLagKickAndSeal(t *testing.T) {
 	c.inflight["k"] = se
 
 	for i := 0; i < 10; i++ {
-		se.append(coalRow{sc: ScenarioResult{Config: strconv.Itoa(i)}})
+		se.append(ScenarioResult{Config: strconv.Itoa(i)})
 	}
 	se.mu.Lock()
 	sealed, base := se.sealed, se.base
@@ -418,8 +414,8 @@ func TestCoalescedLagKickAndSeal(t *testing.T) {
 	if ev != evRow || err != nil {
 		t.Fatalf("next(%d) = %v, %v; want a row", base, ev, err)
 	}
-	if row.sc.Config != strconv.Itoa(base) {
-		t.Fatalf("row at global index %d has Config %q", base, row.sc.Config)
+	if row.Config != strconv.Itoa(base) {
+		t.Fatalf("row at global index %d has Config %q", base, row.Config)
 	}
 
 	// joinEval must refuse the sealed evaluation and start a fresh one.
@@ -451,7 +447,7 @@ func TestCoalescedLagKickAndSeal(t *testing.T) {
 	}
 }
 
-func se2Next(se *sharedEval, idx int) (coalRow, coalEvent, error) {
+func se2Next(se *sharedEval, idx int) (ScenarioResult, coalEvent, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	return se.next(ctx, idx)
@@ -491,8 +487,8 @@ func TestCoalescedConcurrentStress(t *testing.T) {
 				row, ev, err := se.next(rctx, idx)
 				switch ev {
 				case evRow:
-					if row.sc.Config != strconv.Itoa(idx) {
-						outcomes[i] = fmt.Errorf("row %d carried Config %q", idx, row.sc.Config)
+					if row.Config != strconv.Itoa(idx) {
+						outcomes[i] = fmt.Errorf("row %d carried Config %q", idx, row.Config)
 						return
 					}
 					if rcancel != nil && idx == 40 {
@@ -514,7 +510,7 @@ func TestCoalescedConcurrentStress(t *testing.T) {
 	}
 
 	for i := 0; i < rows; i++ {
-		se.append(coalRow{sc: ScenarioResult{Config: strconv.Itoa(i)}})
+		se.append(ScenarioResult{Config: strconv.Itoa(i)})
 	}
 	se.finish(nil)
 	wg.Wait()
@@ -523,5 +519,136 @@ func TestCoalescedConcurrentStress(t *testing.T) {
 		if err != nil {
 			t.Errorf("reader %d: %v", i, err)
 		}
+	}
+}
+
+// flushRecorder is a ResponseWriter that records which bytes each Flush
+// would have put on the socket.
+type flushRecorder struct {
+	mu      sync.Mutex
+	header  http.Header
+	buf     bytes.Buffer
+	flushed int // buf length at the last Flush
+	flushes int
+}
+
+func newFlushRecorder() *flushRecorder { return &flushRecorder{header: make(http.Header)} }
+
+func (f *flushRecorder) Header() http.Header { return f.header }
+func (f *flushRecorder) WriteHeader(int)     {}
+
+func (f *flushRecorder) Write(b []byte) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.buf.Write(b)
+}
+
+func (f *flushRecorder) Flush() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.flushed = f.buf.Len()
+	f.flushes++
+}
+
+// state returns a copy of the flushed bytes, everything written and the
+// flush count.
+func (f *flushRecorder) state() (flushed, all []byte, flushes int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	all = bytes.Clone(f.buf.Bytes())
+	return all[:f.flushed], all, f.flushes
+}
+
+// wireRows counts the whole row frames in a (possibly unfinished) wire
+// stream prefix.
+func wireRows(b []byte) int {
+	r, err := wire.NewReader(bytes.NewReader(b))
+	if err != nil {
+		return 0
+	}
+	n := 0
+	for {
+		if _, err := r.Next(); err != nil {
+			return n
+		}
+		n++
+	}
+}
+
+// TestCoalescedFlushWhenCaughtUp pins the streaming writers' flush rule:
+// a row the producer appended reaches the socket as soon as the writer
+// has nothing more to write, and rows that are already there when the
+// writer gets to them share a flush instead of paying one each.
+func TestCoalescedFlushWhenCaughtUp(t *testing.T) {
+	mixes := [][]string{{"gamess", "lbm"}, {"mcf", "milc"}, {"soplex", "namd"}, {"lbm", "mcf"}}
+	mreq, err := BuildRequest(EvalRequest{Mixes: mixes, Configs: []string{"config#1"}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(i int) ScenarioResult {
+		m := mixes[i%len(mixes)]
+		return ScenarioResult{Mix: m, Config: "config#1", Prediction: &Metrics{
+			Benchmarks: m, SingleCPI: []float64{1, 2}, MultiCPI: []float64{1.5, 2.5},
+			Slowdown: []float64{1.5, 1.25}, STP: 1.47, ANTT: 1.375, Iterations: i,
+		}}
+	}
+	srv := &Server{} // the writers only read the request's own configs
+	modes := []struct {
+		name  string
+		serve func(http.ResponseWriter, *http.Request, *sharedEval)
+		rows  func([]byte) int
+	}{
+		{"ndjson", serveCoalescedNDJSON, func(b []byte) int { return bytes.Count(b, []byte{'\n'}) }},
+		{"wire", func(w http.ResponseWriter, r *http.Request, se *sharedEval) {
+			srv.serveCoalescedWire(w, r, se, mreq)
+		}, wireRows},
+	}
+	newShared := func() *sharedEval {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		c := &coalescer{inflight: make(map[string]*sharedEval)}
+		return &sharedEval{key: "k", c: c, ctx: ctx, cancel: cancel,
+			notify: make(chan struct{}), subs: 1}
+	}
+	for _, m := range modes {
+		t.Run(m.name+"/incremental", func(t *testing.T) {
+			se := newShared()
+			rec := newFlushRecorder()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				m.serve(rec, httptest.NewRequest(http.MethodPost, "/v1/eval", nil), se)
+			}()
+			for k := range mixes {
+				se.append(row(k))
+				// The producer pauses here: row k must be on the socket.
+				waitFor(t, fmt.Sprintf("row %d flushed", k), func() bool {
+					flushed, _, _ := rec.state()
+					return m.rows(flushed) == k+1
+				})
+			}
+			se.finish(nil)
+			<-done
+			if _, all, _ := rec.state(); m.rows(all) != len(mixes) {
+				t.Fatalf("stream holds %d rows, want %d", m.rows(all), len(mixes))
+			}
+		})
+		t.Run(m.name+"/prefilled", func(t *testing.T) {
+			const n = 64
+			se := newShared()
+			for i := 0; i < n; i++ {
+				se.append(row(i))
+			}
+			se.finish(nil)
+			rec := newFlushRecorder()
+			m.serve(rec, httptest.NewRequest(http.MethodPost, "/v1/eval", nil), se)
+			_, all, flushes := rec.state()
+			if got := m.rows(all); got != n {
+				t.Fatalf("stream holds %d rows, want %d", got, n)
+			}
+			if flushes > 1 {
+				t.Fatalf("%d ready rows cost %d flushes, want at most 1", n, flushes)
+			}
+		})
 	}
 }

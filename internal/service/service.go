@@ -14,7 +14,9 @@
 //	GET  /v1/stats       engine + artifact-store hit/miss/load counters
 //	POST /v1/eval        the canonical endpoint: any kind, mixes x configs, top-k;
 //	                     "stream": true switches the response to NDJSON — one
-//	                     scenario per line in grid order, flushed incrementally
+//	                     scenario per line in grid order, flushed whenever the
+//	                     writer has caught up with the evaluation (rows that
+//	                     complete together share one flush)
 //	GET  /v1/artifacts/{kind}/{key}  raw artifact bytes (fleet peer exchange)
 //	POST /v1/warmup      pre-compute suite profiles for a set of LLC configs
 //	POST /v1/predict     compat: one mix, one LLC config, MPPM model
@@ -206,7 +208,7 @@ const maxPooledJSONBuf = 1 << 20
 // paths use: one bytes.Buffer with a bound json.Encoder (no indent),
 // shared across requests and rows instead of allocated per request —
 // the steady-state row encode allocates only what encoding/json itself
-// needs plus the retained line copy (see TestRowEncodeAllocs).
+// needs (see TestRowEncodeAllocs); the line lands in the caller's buffer.
 var ndjsonScratchPool = sync.Pool{New: func() any {
 	s := &jsonScratch{}
 	s.enc = json.NewEncoder(&s.buf)

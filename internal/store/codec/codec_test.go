@@ -3,9 +3,11 @@ package codec
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -145,6 +147,24 @@ func TestProfileRoundTrip(t *testing.T) {
 			if w.SDC[k] != g.SDC[k] {
 				t.Fatalf("interval %d SDC[%d] differs", i, k)
 			}
+		}
+	}
+}
+
+// TestDecodeProfileRejectsNonFinite: a well-formed, correctly
+// checksummed profile artifact whose counters are NaN or infinite is
+// corrupt — DecodeProfile promises a profile the model can run.
+func TestDecodeProfileRejectsNonFinite(t *testing.T) {
+	rec := testRecording(t)
+	p, err := rec.Replay(context.Background(), testConfig(t), sim.ProfileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		bad := &profile.Profile{Meta: p.Meta, Intervals: append([]profile.Interval(nil), p.Intervals...)}
+		bad.Intervals[1].Cycles = v
+		if _, _, err := DecodeProfile(EncodeProfile(bad, 42)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("cycles %v: DecodeProfile = %v, want ErrCorrupt", v, err)
 		}
 	}
 }

@@ -276,8 +276,9 @@ func DecodeRequest(b []byte) (EvalRequest, error) {
 
 // Writer emits one response stream: header at construction, one frame
 // per WriteRow/WriteError, the sealing crc frame on Close. It keeps a
-// running crc and performs one underlying Write per frame, so it
-// composes with per-row flushing. Not safe for concurrent use.
+// running crc and performs one underlying Write per frame, so a flush
+// between any two frames puts only whole frames on the socket. Not safe
+// for concurrent use.
 type Writer struct {
 	w       io.Writer
 	hdr     StreamHeader

@@ -274,8 +274,8 @@ func TestStreamCorrupt(t *testing.T) {
 
 // TestWriterSingleWritePerFrame pins the framing granularity the fleet
 // failover test relies on: the preamble, each row, each error frame and
-// the end frame are one underlying Write apiece, so per-row flushing
-// puts whole frames on the socket.
+// the end frame are one underlying Write apiece, so a flush between
+// frames puts whole frames on the socket.
 func TestWriterSingleWritePerFrame(t *testing.T) {
 	var cw countingWriter
 	w, err := NewWriter(&cw, testHeader())
