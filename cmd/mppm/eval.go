@@ -52,11 +52,12 @@ func cmdEval(ctx context.Context, stdout io.Writer, args []string, stderr io.Wri
 	}
 
 	cl := fleet.NewClient(*server, nil)
-	if *forceJSON {
-		cl.DisableWire()
-	}
-	if err := cl.Check(ctx); err != nil {
-		return fmt.Errorf("eval: %w", err)
+	// The version check negotiates the binary stream; a client that
+	// skips it speaks JSON and NDJSON.
+	if !*forceJSON {
+		if err := cl.Check(ctx); err != nil {
+			return fmt.Errorf("eval: %w", err)
+		}
 	}
 	return cl.StreamEval(ctx, req, func(sc *service.ScenarioResult) error {
 		line, err := service.MarshalScenarioLine(sc)

@@ -14,8 +14,6 @@
 //	    -d '{"kind":"compare","mixes":[["gamess","lbm"],["mcf","milc"]],
 //	         "configs":["config#1","config#4"]}'
 //
-// The pre-/v1/eval endpoints (/v1/predict, /v1/simulate, /v1/sweep)
-// remain as thin adapters over the same request path.
 // SIGINT/SIGTERM drain in-flight requests (and the background -warm
 // goroutine) before exiting.
 //
@@ -31,9 +29,10 @@
 // are filled from healthy, codec-compatible peers (raw stored bytes,
 // checksum intact) before anything is recomputed, and the /metrics
 // exposition gains the fleet families. With -coordinate, POST /v1/eval
-// is consistent-hash-sharded across the peers as streaming NDJSON
-// sub-requests and the shard rows are merged back into one ordered
-// response, byte-identical to a single replica's answer. Sub-requests
+// is consistent-hash-sharded across the peers as streaming sub-requests
+// (binary wire streams; NDJSON to a peer on another wire version) and
+// the shard rows are merged back into one ordered response,
+// byte-identical to a single replica's answer. Sub-requests
 // carry a marker header and are always served locally, so every
 // replica may run -coordinate and any of them can take fleet traffic:
 //
@@ -105,7 +104,6 @@ type options struct {
 	peers       string
 	advertise   string
 	coordinate  bool
-	shardJSON   bool
 }
 
 func main() {
@@ -125,7 +123,6 @@ func main() {
 	flag.StringVar(&o.peers, "peers", "", `comma-separated fleet replica base URLs (e.g. "http://a:8080,http://b:8080"); enables peer artifact fetch and fleet metrics`)
 	flag.StringVar(&o.advertise, "advertise", "", "this replica's own base URL within -peers (excluded from peer fetches; required with -coordinate when serving shards locally)")
 	flag.BoolVar(&o.coordinate, "coordinate", false, "coordinator mode: shard POST /v1/eval across -peers and merge the ordered shard streams")
-	flag.BoolVar(&o.shardJSON, "shard-json", false, "force NDJSON shard transport to replicas instead of the binary wire default (debugging escape hatch)")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "mppmd:", err)
@@ -243,8 +240,7 @@ func run(o options) error {
 			return fmt.Errorf("-coordinate needs -peers")
 		}
 		coord, err := fleet.New(fleet.Config{
-			Peers: peers, DefaultConfig: llc.Name, JSONShards: o.shardJSON,
-			TraceDebug: obs.TraceEnabled(),
+			Peers: peers, DefaultConfig: llc.Name, TraceDebug: obs.TraceEnabled(),
 		})
 		if err != nil {
 			return err

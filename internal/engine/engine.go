@@ -920,23 +920,3 @@ func SweepJobs(mixes []workload.Mix, llcs []cache.Config, kind Kind, opts core.O
 	}
 	return jobs
 }
-
-// Sweep evaluates every mix on every LLC configuration and returns the
-// results indexed [config][mix].
-func (e *Engine) Sweep(ctx context.Context, mixes []workload.Mix, llcs []cache.Config, kind Kind, opts core.Options) ([][]Result, error) {
-	if len(mixes) == 0 {
-		return nil, fmt.Errorf("engine: no mixes")
-	}
-	if len(llcs) == 0 {
-		return nil, fmt.Errorf("engine: no LLC configurations")
-	}
-	flat, err := e.Run(ctx, SweepJobs(mixes, llcs, kind, opts))
-	if err != nil {
-		return nil, err
-	}
-	grid := make([][]Result, len(llcs))
-	for i := range llcs {
-		grid[i] = flat[i*len(mixes) : (i+1)*len(mixes)]
-	}
-	return grid, nil
-}

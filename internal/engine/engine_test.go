@@ -145,12 +145,12 @@ func TestSweepComputesEachProfileOnce(t *testing.T) {
 	mixes := testMixes(t, 40, 4)
 	llcs := cache.LLCConfigs()[:2]
 
-	grid, err := eng.Sweep(context.Background(), mixes, llcs, Predict, core.Options{})
+	results, err := eng.Run(context.Background(), SweepJobs(mixes, llcs, Predict, core.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grid) != len(llcs) || len(grid[0]) != len(mixes) {
-		t.Fatalf("grid shape %dx%d, want %dx%d", len(grid), len(grid[0]), len(llcs), len(mixes))
+	if len(results) != len(llcs)*len(mixes) {
+		t.Fatalf("%d results, want %dx%d", len(results), len(llcs), len(mixes))
 	}
 	distinct := make(map[string]bool)
 	for _, llc := range llcs {
@@ -164,11 +164,9 @@ func TestSweepComputesEachProfileOnce(t *testing.T) {
 		t.Fatalf("computed %d profiles, want exactly %d distinct (benchmark, LLC) pairs",
 			got, len(distinct))
 	}
-	for c := range grid {
-		for m := range grid[c] {
-			if grid[c][m].Err != nil {
-				t.Fatalf("sweep job (%d,%d): %v", c, m, grid[c][m].Err)
-			}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("sweep job %d: %v", i, r.Err)
 		}
 	}
 }
@@ -865,7 +863,7 @@ func TestSimulateFromStoredRecording(t *testing.T) {
 	}
 
 	replica := storeEngine(dir)
-	grid, err := replica.Sweep(ctx, mixes, llcs, Simulate, core.Options{})
+	results, err := replica.Run(ctx, SweepJobs(mixes, llcs, Simulate, core.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -877,7 +875,7 @@ func TestSimulateFromStoredRecording(t *testing.T) {
 	}
 	for c, llc := range llcs {
 		for m, mix := range mixes {
-			r := grid[c][m]
+			r := results[c*len(mixes)+m]
 			if r.Err != nil {
 				t.Fatal(r.Err)
 			}

@@ -40,7 +40,6 @@ type Client struct {
 	verified bool  // version checked and compatible
 	refused  error // non-nil: permanently incompatible
 	wireOK   bool  // peer speaks this build's binary eval stream
-	jsonOnly bool  // operator forced NDJSON shard transport
 }
 
 // NewClient returns a client for the replica at base (scheme://host,
@@ -68,20 +67,12 @@ func (c *Client) Refused() bool {
 	return c.refused != nil
 }
 
-// DisableWire forces NDJSON eval transport to this peer regardless of
-// its advertised wire version (mppmd's -shard-json escape hatch).
-func (c *Client) DisableWire() {
-	c.mu.Lock()
-	c.jsonOnly = true
-	c.mu.Unlock()
-}
-
 // WireOK reports whether eval streams to this peer use the binary wire
 // format. Meaningful only after a successful Check.
 func (c *Client) WireOK() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.wireOK && !c.jsonOnly
+	return c.wireOK
 }
 
 // Check verifies the peer is compatible, fetching /v1/version on first
@@ -145,11 +136,11 @@ func (c *Client) Version(ctx context.Context) (service.VersionResponse, error) {
 
 // StreamEval posts req (which must have Stream set) to the replica's
 // /v1/eval and invokes row for every scenario, in stream order. When
-// the peer speaks this build's wire version (and the operator has not
-// forced NDJSON) the exchange is binary end to end — wire request
-// document, wire response frames; otherwise the classic JSON body and
-// NDJSON response. Either way row receives a freshly decoded result it
-// may retain. A non-200 status, a transport failure, or a stream-level
+// a Check has found the peer speaking this build's wire version the
+// exchange is binary end to end — wire request document, wire response
+// frames; otherwise (wire skew, or no Check yet) the classic JSON body
+// and NDJSON response. Either way row receives a freshly decoded result
+// it may retain. A non-200 status, a transport failure, or a stream-level
 // error (a replica cancelled mid-stream) is returned as an error; row's
 // own error aborts the stream and is returned verbatim.
 func (c *Client) StreamEval(ctx context.Context, req service.EvalRequest, row func(sc *service.ScenarioResult) error) error {

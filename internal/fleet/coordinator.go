@@ -58,10 +58,6 @@ type Config struct {
 	// http.DefaultClient. It must not impose an overall request timeout —
 	// shard streams live as long as their slowest scenario.
 	HTTPClient *http.Client
-	// JSONShards forces NDJSON shard transport to every replica instead
-	// of the binary wire default — the operator escape hatch (mppmd's
-	// -shard-json) for debugging shard traffic with text tooling.
-	JSONShards bool
 	// TraceDebug enables the fleet-wide trace stitch endpoint: GET
 	// /v1/debug/traces/{id} pulls every replica's local spans for the
 	// trace and merges them into one tree. Enable together with the
@@ -115,11 +111,7 @@ func New(cfg Config) (*Coordinator, error) {
 		downUntil: make([]time.Time, ring.Replicas()),
 	}
 	for i := 0; i < ring.Replicas(); i++ {
-		cl := NewClient(ring.Replica(i), cfg.HTTPClient)
-		if cfg.JSONShards {
-			cl.DisableWire()
-		}
-		c.clients = append(c.clients, cl)
+		c.clients = append(c.clients, NewClient(ring.Replica(i), cfg.HTTPClient))
 		c.sems = append(c.sems, make(chan struct{}, cfg.MaxInFlight))
 	}
 	return c, nil
@@ -337,15 +329,11 @@ func (c *Coordinator) HandleEval(w http.ResponseWriter, r *http.Request, local h
 			passthrough()
 			return
 		}
-	} else {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			passthrough()
-			return
-		}
+	} else if err := service.DecodeJSON(bytes.NewReader(body), &req); err != nil {
+		passthrough()
+		return
 	}
-	mreq, err := service.BuildRequest(req, nil)
+	mreq, err := service.BuildRequest(req)
 	if err != nil || mreq.TopK > 0 || len(c.clients) < 2 {
 		// Invalid requests get the replica's canonical error response;
 		// TopK needs the full ranked grid and is served locally.

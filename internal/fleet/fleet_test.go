@@ -219,6 +219,44 @@ func TestFleetErrorParity(t *testing.T) {
 	}
 }
 
+// TestFleetTrailingDataParity: the coordinator accepts exactly the JSON
+// bodies a single node accepts — data after the document is the same
+// 400, a trailing newline the same 200.
+func TestFleetTrailingDataParity(t *testing.T) {
+	single, _ := newReplica(t, "")
+	coord, _ := newTestFleet(t, 2, Config{})
+	post := func(url, body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/eval", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, data
+	}
+	doc := `{"mixes":[["gamess","lbm"],["mcf","milc"]],"configs":["config#1","config#2"]}`
+	for _, tc := range []struct {
+		body   string
+		status int
+	}{
+		{doc + ` {"bogus": garbage`, http.StatusBadRequest},
+		{doc + "\n", http.StatusOK},
+	} {
+		wantStatus, want := post(single.URL, tc.body)
+		gotStatus, got := post(coord.URL, tc.body)
+		if wantStatus != tc.status || gotStatus != tc.status {
+			t.Fatalf("body %q: single %d, fleet %d, want %d", tc.body, wantStatus, gotStatus, tc.status)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("body %q: fleet response %q, single %q", tc.body, got, want)
+		}
+	}
+}
+
 // killableReplica proxies a replica handler and kills the replica after
 // it has streamed killAfter eval rows: in-flight streams are aborted
 // mid-response and every later request is refused — a crash mid-sweep,
@@ -737,21 +775,6 @@ func TestWireVersionSkewFallback(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("row %d differs between transports\nndjson: %s\nwire:   %s", i, got[i], want[i])
-		}
-	}
-
-	// The operator escape hatch forces NDJSON even on a matched peer.
-	pcl.DisableWire()
-	if pcl.WireOK() {
-		t.Fatal("DisableWire did not stick")
-	}
-	forced := collect(pcl)
-	if ct, _ := plainCT.Load().(string); ct != "application/json" {
-		t.Fatalf("forced-JSON eval got Content-Type %q, want application/json", ct)
-	}
-	for i := range forced {
-		if forced[i] != want[i] {
-			t.Fatalf("forced-JSON row %d differs from binary exchange", i)
 		}
 	}
 }

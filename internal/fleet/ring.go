@@ -2,7 +2,8 @@
 //
 // The coordinator consistent-hash-shards the (mix, config) work units
 // of one /v1/eval request across the fleet, fans the shards out as
-// streaming NDJSON sub-requests, and merges the per-shard ordered rows
+// streaming sub-requests (binary wire streams, or NDJSON to a peer on
+// another wire version), and merges the per-shard ordered rows
 // back into one deterministic response through a reorder buffer — the
 // merged output is byte-identical to what a single replica would have
 // produced for the whole request. A dead replica's shards are re-hashed

@@ -101,7 +101,7 @@ func TestCoalescedIdenticalRequests(t *testing.T) {
 	}
 
 	srv, ts := newCoalServer(t)
-	mreq, err := BuildRequest(req, nil)
+	mreq, err := BuildRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestCoalescedSubscriberCancel(t *testing.T) {
 	req := coalTestRequest()
 	req.Stream = true
 	srv, ts := newCoalServer(t)
-	mreq, err := BuildRequest(req, nil)
+	mreq, err := BuildRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestCoalescedMidStreamCancel(t *testing.T) {
 	req := coalTestRequest()
 	req.Stream = true
 	srv, ts := newCoalServer(t)
-	mreq, err := BuildRequest(req, nil)
+	mreq, err := BuildRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestCoalescedLagKickAndSeal(t *testing.T) {
 	// force the collision.
 	sys := mppm.NewSystem(mppm.DefaultLLC(), mppm.WithScale(testTraceLen, testInterval))
 	srv := New(sys)
-	mreq, err := BuildRequest(EvalRequest{Kind: "predict", Mixes: [][]string{{"gamess"}}}, nil)
+	mreq, err := BuildRequest(EvalRequest{Kind: "predict", Mixes: [][]string{{"gamess"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func wireRows(b []byte) int {
 // writer gets to them share a flush instead of paying one each.
 func TestCoalescedFlushWhenCaughtUp(t *testing.T) {
 	mixes := [][]string{{"gamess", "lbm"}, {"mcf", "milc"}, {"soplex", "namd"}, {"lbm", "mcf"}}
-	mreq, err := BuildRequest(EvalRequest{Mixes: mixes, Configs: []string{"config#1"}}, nil)
+	mreq, err := BuildRequest(EvalRequest{Mixes: mixes, Configs: []string{"config#1"}})
 	if err != nil {
 		t.Fatal(err)
 	}

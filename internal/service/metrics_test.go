@@ -85,15 +85,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// Traffic shows up in the per-route counters on the next scrape.
-	resp, _ := postJSON(t, ts.URL+"/v1/predict", EvalRequest{
+	resp, _ := postJSON(t, ts.URL+"/v1/eval", EvalRequest{
 		Mix: []string{"gamess", "lbm"},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict status %d", resp.StatusCode)
 	}
 	body = scrape(t, ts.URL)
-	if !strings.Contains(body, `mppm_http_requests_total{route="/v1/predict",code="2xx"} 1`) {
-		t.Errorf("predict request not counted:\n%s", body)
+	if !strings.Contains(body, `mppm_http_requests_total{route="/v1/eval",code="2xx"} 1`) {
+		t.Errorf("eval request not counted:\n%s", body)
 	}
 	if !strings.Contains(body, `mppm_engine_jobs_total`) {
 		t.Errorf("engine job counter missing after traffic")
@@ -102,7 +102,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestMetricsWithStore(t *testing.T) {
 	ts, _ := newObsServer(t, []mppm.SystemOption{mppm.WithStore(t.TempDir())})
-	resp, _ := postJSON(t, ts.URL+"/v1/predict", EvalRequest{
+	resp, _ := postJSON(t, ts.URL+"/v1/eval", EvalRequest{
 		Mix: []string{"gamess", "lbm"},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -199,14 +199,48 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 
 func TestHealthzV1(t *testing.T) {
 	ts, _ := newObsServer(t, nil)
-	for _, path := range []string{"/healthz", "/v1/healthz"} {
-		resp, err := http.Get(ts.URL + path)
+	resp, err := http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /v1/healthz: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestRetiredRoutes: the pre-/v1/eval endpoints and the unversioned
+// health alias are gone — 404 from the handler, and no route label
+// for them in the pre-registered /metrics series.
+func TestRetiredRoutes(t *testing.T) {
+	ts, _ := newObsServer(t, nil)
+	retired := []struct{ method, path string }{
+		{http.MethodPost, "/v1/predict"},
+		{http.MethodPost, "/v1/simulate"},
+		{http.MethodPost, "/v1/sweep"},
+		{http.MethodGet, "/healthz"},
+	}
+	for _, rt := range retired {
+		req, err := http.NewRequest(rt.method, ts.URL+rt.path, strings.NewReader(`{"mix":["gamess","lbm"]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d, want 200", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", rt.method, rt.path, resp.StatusCode)
+		}
+	}
+	body := scrape(t, ts.URL)
+	if !strings.Contains(body, `route="/v1/eval"`) {
+		t.Fatal("exposition carries no per-route series; the check below would be vacuous")
+	}
+	for _, rt := range retired {
+		if label := `route="` + rt.path + `"`; strings.Contains(body, label) {
+			t.Errorf("/metrics still carries %s", label)
 		}
 	}
 }

@@ -5,7 +5,6 @@
 //
 // Endpoints (all JSON unless noted):
 //
-//	GET  /healthz        liveness probe (compat alias of /v1/healthz)
 //	GET  /v1/healthz     liveness probe
 //	GET  /v1/readyz      readiness probe: engine built, store usable (503 when not)
 //	GET  /metrics        Prometheus text exposition (engine, store, HTTP, runtime)
@@ -19,9 +18,6 @@
 //	                     complete together share one flush)
 //	GET  /v1/artifacts/{kind}/{key}  raw artifact bytes (fleet peer exchange)
 //	POST /v1/warmup      pre-compute suite profiles for a set of LLC configs
-//	POST /v1/predict     compat: one mix, one LLC config, MPPM model
-//	POST /v1/simulate    compat: one mix, one LLC config, detailed simulator
-//	POST /v1/sweep       compat: many mixes x many LLC configs
 //
 // Every route is wrapped in obs.HTTPMetrics middleware: a request ID is
 // stamped into the context (propagating through System.Eval into engine
@@ -31,11 +27,12 @@
 // net/http/pprof handlers under /debug/pprof/ (off by default: the
 // profile endpoints can pause the process and belong behind a flag).
 //
-// Every handler decodes into the same wire shape (EvalRequest), builds
-// one mppm.Request and executes it through System.Eval, so the service
-// is a thin adapter over the exact API library users call: one shared
-// worker pool, one singleflight profile cache, request cancellation
-// (client disconnect) propagating into the engine.
+// /v1/eval is the only evaluation endpoint: it decodes the wire shape
+// (EvalRequest), builds one mppm.Request and executes it through
+// System.Eval, so the service is a thin adapter over the exact API
+// library users call: one shared worker pool, one singleflight profile
+// cache, request cancellation (client disconnect) propagating into the
+// engine.
 //
 // Errors map onto status codes through the mppm error taxonomy:
 // ErrUnknownBenchmark → 404, ErrEmptyMix/ErrBadConfig/ErrNoProfiles →
@@ -82,10 +79,9 @@ const (
 // per-route HTTP metrics. Adding an endpoint means adding it here and
 // in Handler.
 var routes = []string{
-	"/healthz", "/v1/healthz", "/v1/readyz", "/metrics",
+	"/v1/healthz", "/v1/readyz", "/metrics",
 	"/v1/version", "/v1/benchmarks", "/v1/stats", "/v1/artifacts",
-	"/v1/eval", "/v1/warmup", "/v1/predict", "/v1/simulate", "/v1/sweep",
-	"/v1/debug/traces",
+	"/v1/eval", "/v1/warmup", "/v1/debug/traces",
 }
 
 // Server serves the prediction API from one shared evaluation system.
@@ -148,7 +144,6 @@ func (s *Server) Handler() http.Handler {
 	handle := func(pattern, route string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, s.httpm.Wrap(route, h))
 	}
-	handle("GET /healthz", "/healthz", s.handleHealthz)
 	handle("GET /v1/healthz", "/v1/healthz", s.handleHealthz)
 	handle("GET /v1/readyz", "/v1/readyz", s.handleReadyz)
 	handle("GET /metrics", "/metrics", s.handleMetrics)
@@ -158,9 +153,6 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /v1/artifacts/{kind}/{key}", "/v1/artifacts", s.handleArtifact)
 	handle("POST /v1/eval", "/v1/eval", s.handleEval)
 	handle("POST /v1/warmup", "/v1/warmup", s.handleWarmup)
-	handle("POST /v1/predict", "/v1/predict", s.handlePredict)
-	handle("POST /v1/simulate", "/v1/simulate", s.handleSimulate)
-	handle("POST /v1/sweep", "/v1/sweep", s.handleSweep)
 	if s.traces {
 		handle("GET /v1/debug/traces", "/v1/debug/traces", s.handleTraceIndex)
 		handle("GET /v1/debug/traces/{id}", "/v1/debug/traces", s.handleTraceByID)
@@ -305,10 +297,28 @@ func badRequest(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+// DecodeJSON decodes exactly one JSON document from r into v, rejecting
+// unknown fields and anything but whitespace after the document (the
+// trailing newline json.Encoder and curl -d @file send is fine). It is
+// exported so the fleet coordinator accepts exactly the bodies a
+// replica accepts.
+func DecodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the JSON document")
+		}
+		return err
+	}
+	return nil
+}
+
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := DecodeJSON(http.MaxBytesReader(w, r.Body, maxRequestBytes), v); err != nil {
 		badRequest(w, fmt.Errorf("invalid request body: %w", err))
 		return false
 	}
@@ -360,31 +370,24 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// EvalRequest is the one wire shape every evaluation endpoint decodes:
-// it mirrors mppm.Request field for field. /v1/eval accepts all of it
-// (as JSON or as a binary wire.EncodeRequest document); the compat
-// endpoints accept the subset their old bodies used (the kind is then
-// implied by the path). The type lives in internal/wire next to its
-// binary codec; the alias keeps the service API unchanged.
+// EvalRequest is the /v1/eval request shape, as JSON or as a binary
+// wire.EncodeRequest document: it mirrors mppm.Request field for field,
+// with mix/config as single-element shorthands for mixes/configs. The
+// type lives in internal/wire next to its binary codec; the alias keeps
+// the service API unchanged.
 type EvalRequest = wire.EvalRequest
 
 // BuildRequest validates the wire request and lowers it onto the shared
-// mppm.Request. kindOverride pins the evaluation kind for the compat
-// endpoints; pass nil to honor the body's kind field. It is exported so
-// the fleet coordinator validates requests with exactly this logic —
-// a request the coordinator fans out and a request a replica serves
-// locally must agree on every limit and default.
-func BuildRequest(req EvalRequest, kindOverride *mppm.Kind) (mppm.Request, error) {
+// mppm.Request. It is exported so the fleet coordinator validates
+// requests with exactly this logic — a request the coordinator fans out
+// and a request a replica serves locally must agree on every limit and
+// default.
+func BuildRequest(req EvalRequest) (mppm.Request, error) {
 	var zero mppm.Request
 
-	kind := mppm.KindPredict
-	if kindOverride != nil {
-		kind = *kindOverride
-	} else {
-		var err error
-		if kind, err = mppm.KindByName(req.Kind); err != nil {
-			return zero, err
-		}
+	kind, err := mppm.KindByName(req.Kind)
+	if err != nil {
+		return zero, err
 	}
 
 	if len(req.Mix) > 0 && len(req.Mixes) > 0 {
@@ -567,7 +570,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	mreq, err := BuildRequest(req, nil)
+	mreq, err := BuildRequest(req)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -798,148 +801,4 @@ func (s *Server) handleWarmup(w http.ResponseWriter, r *http.Request) {
 		Recordings: s.sys.EngineStats().RecordingComputations - recsBefore,
 		ElapsedMS:  time.Since(start).Milliseconds(),
 	})
-}
-
-// MixResult is the JSON shape of one evaluated mix on the compat
-// predict/simulate/sweep endpoints.
-type MixResult struct {
-	Mix        []string  `json:"mix"`
-	Config     string    `json:"config"`
-	Kind       string    `json:"kind"`
-	Error      string    `json:"error,omitempty"`
-	Benchmarks []string  `json:"benchmarks,omitempty"`
-	SingleCPI  []float64 `json:"single_cpi,omitempty"`
-	MultiCPI   []float64 `json:"multi_cpi,omitempty"`
-	Slowdown   []float64 `json:"slowdown,omitempty"`
-	STP        float64   `json:"stp,omitempty"`
-	ANTT       float64   `json:"antt,omitempty"`
-	Iterations int       `json:"iterations,omitempty"`
-}
-
-func toMixResult(kind mppm.Kind, sc *mppm.Scenario) MixResult {
-	out := MixResult{Mix: sc.Mix, Config: sc.Config.Name, Kind: kind.String()}
-	if sc.Err != nil {
-		out.Error = sc.Err.Error()
-		return out
-	}
-	switch {
-	case sc.Prediction != nil:
-		p := sc.Prediction
-		out.Benchmarks, out.SingleCPI, out.MultiCPI = p.Benchmarks, p.SingleCPI, p.MultiCPI
-		out.Slowdown, out.STP, out.ANTT = p.Slowdown, p.STP, p.ANTT
-		out.Iterations = p.Iterations
-	case sc.Measurement != nil:
-		m := sc.Measurement
-		out.Benchmarks, out.SingleCPI, out.MultiCPI = m.Benchmarks, m.SingleCPI, m.MultiCPI
-		out.Slowdown, out.STP, out.ANTT = m.Slowdown, m.STP, m.ANTT
-	}
-	return out
-}
-
-// runOne serves the compat single-mix endpoints by delegating to the
-// same request path as /v1/eval with the kind pinned.
-func (s *Server) runOne(w http.ResponseWriter, r *http.Request, kind mppm.Kind) {
-	var req EvalRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Mixes) > 0 || len(req.Configs) > 0 || req.Kind != "" || req.TopK != 0 || req.Stream {
-		badRequest(w, fmt.Errorf("batch and stream fields are for /v1/eval; use mix and config here"))
-		return
-	}
-	mreq, err := BuildRequest(req, &kind)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	res, err := s.sys.Eval(r.Context(), mreq)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	sc := &res.Scenarios[0]
-	if sc.Err != nil {
-		writeError(w, sc.Err)
-		return
-	}
-	writeJSON(w, http.StatusOK, toMixResult(kind, sc))
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	s.runOne(w, r, mppm.KindPredict)
-}
-
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.runOne(w, r, mppm.KindSimulate)
-}
-
-// SweepConfigResult holds one config's row of a sweep.
-type SweepConfigResult struct {
-	Config  string      `json:"config"`
-	Results []MixResult `json:"results"`
-	// MeanSTP averages STP over the config's successfully evaluated
-	// mixes — the design-ranking quantity of the paper's Section 5.
-	MeanSTP float64 `json:"mean_stp"`
-}
-
-// SweepResponse is the /v1/sweep payload.
-type SweepResponse struct {
-	Kind    string              `json:"kind"`
-	Mixes   int                 `json:"mixes"`
-	Configs []SweepConfigResult `json:"configs"`
-}
-
-// handleSweep is the compat batch endpoint: the same request path as
-// /v1/eval, reshaped into per-config rows. Empty configs means all six
-// Table 2 configurations (the /v1/eval default is config#1 only).
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req EvalRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Kind == "compare" {
-		badRequest(w, fmt.Errorf("kind compare is for /v1/eval"))
-		return
-	}
-	if req.TopK != 0 {
-		badRequest(w, fmt.Errorf("top_k is for /v1/eval"))
-		return
-	}
-	if req.Stream {
-		badRequest(w, fmt.Errorf("stream is for /v1/eval"))
-		return
-	}
-	if len(req.Configs) == 0 && req.Config == "" {
-		for _, c := range mppm.LLCConfigs() {
-			req.Configs = append(req.Configs, c.Name)
-		}
-	}
-	mreq, err := BuildRequest(req, nil)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	res, err := s.sys.Eval(r.Context(), mreq)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	resp := SweepResponse{Kind: res.Kind.String(), Mixes: len(res.Mixes)}
-	for c, llc := range res.Configs {
-		row := SweepConfigResult{Config: llc.Name, Results: make([]MixResult, 0, len(res.Mixes))}
-		sum, n := 0.0, 0
-		for m := range res.Mixes {
-			sc := res.At(c, m)
-			row.Results = append(row.Results, toMixResult(res.Kind, sc))
-			if sc.Err == nil {
-				sum += sc.STP()
-				n++
-			}
-		}
-		if n > 0 {
-			row.MeanSTP = sum / float64(n)
-		}
-		resp.Configs = append(resp.Configs, row)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -75,52 +75,66 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
-func TestPredictEndpoint(t *testing.T) {
-	ts, _ := newTestServer(t)
-	resp, data := postJSON(t, ts.URL+"/v1/predict", EvalRequest{
-		Mix: []string{"gamess", "lbm", "soplex", "mcf"},
-	})
+// evalOne posts one request to /v1/eval, requires a 200 and returns
+// the decoded response.
+func evalOne(t *testing.T, baseURL string, req EvalRequest) EvalResponse {
+	t.Helper()
+	resp, data := postJSON(t, baseURL+"/v1/eval", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	var res MixResult
+	var res EvalResponse
 	if err := json.Unmarshal(data, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Kind != "predict" || res.Config != "config#1" {
-		t.Fatalf("kind/config = %q/%q", res.Kind, res.Config)
+	return res
+}
+
+// TestPredictEndpoint: the single-mix shorthand defaults to a model
+// prediction on config#1.
+func TestPredictEndpoint(t *testing.T) {
+	ts, _ := newTestServer(t)
+	res := evalOne(t, ts.URL, EvalRequest{Mix: []string{"gamess", "lbm", "soplex", "mcf"}})
+	if res.Kind != "predict" || len(res.Scenarios) != 1 || res.Scenarios[0].Config != "config#1" {
+		t.Fatalf("response shape: kind %q, %d scenarios", res.Kind, len(res.Scenarios))
 	}
-	if res.STP <= 0 || res.STP > 4 || res.ANTT < 1 {
-		t.Fatalf("implausible metrics STP=%v ANTT=%v", res.STP, res.ANTT)
+	sc := res.Scenarios[0]
+	p := sc.Prediction
+	if sc.Error != "" || p == nil || sc.Measurement != nil {
+		t.Fatalf("predict scenario: %+v", sc)
 	}
-	if len(res.MultiCPI) != 4 || len(res.Slowdown) != 4 {
-		t.Fatalf("per-program vectors wrong length: %+v", res)
+	if p.STP <= 0 || p.STP > 4 || p.ANTT < 1 {
+		t.Fatalf("implausible metrics STP=%v ANTT=%v", p.STP, p.ANTT)
 	}
-	if res.Iterations == 0 {
+	if len(p.MultiCPI) != 4 || len(p.Slowdown) != 4 {
+		t.Fatalf("per-program vectors wrong length: %+v", p)
+	}
+	if p.Iterations == 0 {
 		t.Fatal("prediction reported zero solver iterations")
 	}
 }
 
+// TestSimulateEndpoint: kind simulate on one mix and one config yields
+// only the detailed simulator's side.
 func TestSimulateEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, data := postJSON(t, ts.URL+"/v1/simulate", EvalRequest{
+	res := evalOne(t, ts.URL, EvalRequest{
+		Kind:   "simulate",
 		Mix:    []string{"gamess", "lbm"},
 		Config: "config#2",
 	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	if res.Kind != "simulate" || len(res.Scenarios) != 1 || res.Scenarios[0].Config != "config#2" {
+		t.Fatalf("response shape: kind %q, %d scenarios", res.Kind, len(res.Scenarios))
 	}
-	var res MixResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatal(err)
+	sc := res.Scenarios[0]
+	m := sc.Measurement
+	if sc.Error != "" || m == nil || sc.Prediction != nil {
+		t.Fatalf("simulate scenario: %+v", sc)
 	}
-	if res.Kind != "simulate" || res.Config != "config#2" {
-		t.Fatalf("kind/config = %q/%q", res.Kind, res.Config)
+	if m.STP <= 0 {
+		t.Fatalf("STP = %v", m.STP)
 	}
-	if res.STP <= 0 {
-		t.Fatalf("STP = %v", res.STP)
-	}
-	for i, s := range res.Slowdown {
+	for i, s := range m.Slowdown {
 		if s < 1 {
 			t.Fatalf("slowdown[%d] = %v < 1", i, s)
 		}
@@ -205,31 +219,28 @@ func TestErrorStatusMapping(t *testing.T) {
 	ts, _ := newTestServer(t)
 	cases := []struct {
 		name   string
-		path   string
 		body   string
 		status int
 	}{
-		{"unknown benchmark", "/v1/predict", `{"mix":["nope"]}`, http.StatusNotFound},
-		{"unknown benchmark eval", "/v1/eval", `{"mix":["nope"]}`, http.StatusNotFound},
-		{"unknown benchmark sweep-wide", "/v1/eval", `{"mixes":[["nope"],["also-nope"]]}`, http.StatusNotFound},
-		{"empty mix", "/v1/predict", `{"mix":[]}`, http.StatusBadRequest},
-		{"unknown config", "/v1/predict", `{"mix":["gamess"],"config":"config#9"}`, http.StatusBadRequest},
-		{"unknown contention", "/v1/predict", `{"mix":["gamess"],"contention":"nope"}`, http.StatusBadRequest},
-		{"unknown field", "/v1/predict", `{"mix":["gamess"],"bogus":1}`, http.StatusBadRequest},
-		{"batch field on predict", "/v1/predict", `{"mixes":[["gamess"]]}`, http.StatusBadRequest},
-		{"malformed json", "/v1/sweep", `{"mixes":`, http.StatusBadRequest},
-		{"no mixes", "/v1/sweep", `{"mixes":[]}`, http.StatusBadRequest},
-		{"sweep bad kind", "/v1/sweep", `{"mixes":[["gamess"]],"kind":"frobnicate"}`, http.StatusBadRequest},
-		{"sweep compare kind", "/v1/sweep", `{"mixes":[["gamess"]],"kind":"compare"}`, http.StatusBadRequest},
-		{"eval bad kind", "/v1/eval", `{"mix":["gamess"],"kind":"frobnicate"}`, http.StatusBadRequest},
-		{"eval mix and mixes", "/v1/eval", `{"mix":["gamess"],"mixes":[["lbm"]]}`, http.StatusBadRequest},
-		{"eval negative top_k", "/v1/eval", `{"mix":["gamess"],"top_k":-1}`, http.StatusBadRequest},
-		{"oversized mix", "/v1/predict", fmt.Sprintf(`{"mix":%s}`, bigMixJSON(65)), http.StatusBadRequest},
-		{"oversized sweep mix", "/v1/sweep", fmt.Sprintf(`{"mixes":[%s]}`, bigMixJSON(65)), http.StatusBadRequest},
-		{"too many mixes", "/v1/sweep", fmt.Sprintf(`{"mixes":%s}`, manyMixesJSON(2049)), http.StatusBadRequest},
+		{"unknown benchmark", `{"mix":["nope"]}`, http.StatusNotFound},
+		{"unknown benchmark sweep-wide", `{"mixes":[["nope"],["also-nope"]]}`, http.StatusNotFound},
+		{"empty mix", `{"mix":[]}`, http.StatusBadRequest},
+		{"unknown config", `{"mix":["gamess"],"config":"config#9"}`, http.StatusBadRequest},
+		{"unknown contention", `{"mix":["gamess"],"contention":"nope"}`, http.StatusBadRequest},
+		{"unknown field", `{"mix":["gamess"],"bogus":1}`, http.StatusBadRequest},
+		{"malformed json", `{"mixes":`, http.StatusBadRequest},
+		{"trailing data", `{"mix":["gamess"]} {"bogus": garbage`, http.StatusBadRequest},
+		{"no mixes", `{"mixes":[]}`, http.StatusBadRequest},
+		{"bad kind", `{"mixes":[["gamess"]],"kind":"frobnicate"}`, http.StatusBadRequest},
+		{"bad kind single mix", `{"mix":["gamess"],"kind":"frobnicate"}`, http.StatusBadRequest},
+		{"mix and mixes", `{"mix":["gamess"],"mixes":[["lbm"]]}`, http.StatusBadRequest},
+		{"negative top_k", `{"mix":["gamess"],"top_k":-1}`, http.StatusBadRequest},
+		{"oversized mix", fmt.Sprintf(`{"mix":%s}`, bigMixJSON(65)), http.StatusBadRequest},
+		{"oversized sweep mix", fmt.Sprintf(`{"mixes":[%s]}`, bigMixJSON(65)), http.StatusBadRequest},
+		{"too many mixes", fmt.Sprintf(`{"mixes":%s}`, manyMixesJSON(2049)), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader([]byte(tc.body)))
+		resp, err := http.Post(ts.URL+"/v1/eval", "application/json", bytes.NewReader([]byte(tc.body)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,6 +252,24 @@ func TestErrorStatusMapping(t *testing.T) {
 		var e errorBody
 		if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error envelope missing: %s", tc.name, data)
+		}
+	}
+}
+
+// TestDecodeJSONTrailing: one document plus trailing whitespace (what
+// json.Encoder and curl -d @file send) decodes; anything else after the
+// document is an error.
+func TestDecodeJSONTrailing(t *testing.T) {
+	for _, tail := range []string{"", "\n", " \r\n\t "} {
+		var req EvalRequest
+		if err := DecodeJSON(strings.NewReader(`{"mix":["gamess"]}`+tail), &req); err != nil || len(req.Mix) != 1 {
+			t.Errorf("tail %q: %v (mix %v)", tail, err, req.Mix)
+		}
+	}
+	for _, tail := range []string{` {"bogus": garbage`, "}", "{}", "x", `"more"`} {
+		var req EvalRequest
+		if err := DecodeJSON(strings.NewReader(`{"mix":["gamess"]}`+tail), &req); err == nil {
+			t.Errorf("tail %q accepted", tail)
 		}
 	}
 }
@@ -304,8 +333,8 @@ func manyMixesJSON(n int) string {
 	return string(b)
 }
 
-// TestSweepLarge is the acceptance-criteria request: 100 mixes x all 6
-// LLC configurations in one call, with every (benchmark, LLC) profile
+// TestSweepLarge is the design-space request: 100 mixes x all 6 LLC
+// configurations in one call, with every (benchmark, LLC) profile
 // computed at most once across the whole sweep.
 func TestSweepLarge(t *testing.T) {
 	ts, sys := newTestServer(t)
@@ -321,41 +350,38 @@ func TestSweepLarge(t *testing.T) {
 	for i, m := range mixes {
 		req.Mixes[i] = m
 	}
+	for _, c := range mppm.LLCConfigs() {
+		req.Configs = append(req.Configs, c.Name)
+	}
 
-	resp, data := postJSON(t, ts.URL+"/v1/sweep", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	res := evalOne(t, ts.URL, req)
+	if res.Mixes != 100 || len(res.Configs) != 6 || len(res.Scenarios) != 600 {
+		t.Fatalf("sweep shape: %d mixes x %d configs, %d scenarios",
+			res.Mixes, len(res.Configs), len(res.Scenarios))
 	}
-	var sw SweepResponse
-	if err := json.Unmarshal(data, &sw); err != nil {
-		t.Fatal(err)
-	}
-	if sw.Mixes != 100 || len(sw.Configs) != 6 {
-		t.Fatalf("sweep shape: %d mixes x %d configs", sw.Mixes, len(sw.Configs))
-	}
-	for _, row := range sw.Configs {
-		if len(row.Results) != 100 {
-			t.Fatalf("config %s has %d results", row.Config, len(row.Results))
-		}
-		if row.MeanSTP <= 0 {
-			t.Fatalf("config %s mean STP %v", row.Config, row.MeanSTP)
-		}
-		for i, r := range row.Results {
-			if r.Error != "" {
-				t.Fatalf("config %s mix %d: %s", row.Config, i, r.Error)
+	for c, config := range res.Configs {
+		sum := 0.0
+		for m, mix := range mixes {
+			sc := res.Scenarios[c*len(mixes)+m]
+			if sc.Error != "" {
+				t.Fatalf("config %s mix %d: %s", config, m, sc.Error)
 			}
-			if r.Mix[0] != mixes[i][0] {
-				t.Fatalf("config %s: result %d misaligned with request order", row.Config, i)
+			if sc.Config != config || workload.Mix(sc.Mix).Key() != mix.Key() {
+				t.Fatalf("config %s: scenario %d misaligned with config-major request order", config, m)
 			}
+			sum += sc.Prediction.STP
+		}
+		if sum <= 0 {
+			t.Fatalf("config %s mean STP %v", config, sum/float64(len(mixes)))
 		}
 	}
 	// Every benchmark appears in some mix, so the exact profile count is
 	// #distinct (benchmark, LLC) pairs touched by the sweep.
 	distinct := make(map[string]bool)
-	for _, row := range sw.Configs {
+	for _, config := range res.Configs {
 		for _, m := range mixes {
 			for _, b := range m {
-				distinct[b+"/"+row.Config] = true
+				distinct[b+"/"+config] = true
 			}
 		}
 	}
@@ -371,14 +397,7 @@ func TestConcurrentRequests(t *testing.T) {
 	ts, sys := newTestServer(t)
 	mix := []string{"gamess", "lbm", "soplex", "mcf"}
 
-	ref, data := postJSON(t, ts.URL+"/v1/predict", EvalRequest{Mix: mix})
-	if ref.StatusCode != http.StatusOK {
-		t.Fatalf("seed request failed: %s", data)
-	}
-	var want MixResult
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := *evalOne(t, ts.URL, EvalRequest{Mix: mix}).Scenarios[0].Prediction
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 24)
@@ -386,22 +405,19 @@ func TestConcurrentRequests(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var body any
-			path := "/v1/predict"
+			var body EvalRequest
 			switch g % 4 {
 			case 0:
 				body = EvalRequest{Mix: mix}
 			case 1:
 				body = EvalRequest{Mix: mix, Config: "config#3"}
 			case 2:
-				path = "/v1/sweep"
-				body = EvalRequest{Mixes: [][]string{mix, {"mcf", "milc"}}, Configs: []string{"config#1"}}
+				body = EvalRequest{Mixes: [][]string{mix, {"mcf", "milc"}}, Stream: true}
 			case 3:
-				path = "/v1/eval"
 				body = EvalRequest{Mixes: [][]string{mix, {"mcf", "milc"}}}
 			}
 			buf, _ := json.Marshal(body)
-			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(buf))
+			resp, err := http.Post(ts.URL+"/v1/eval", "application/json", bytes.NewReader(buf))
 			if err != nil {
 				errs <- err
 				return
@@ -413,11 +429,12 @@ func TestConcurrentRequests(t *testing.T) {
 				return
 			}
 			if g%4 == 0 {
-				var got MixResult
-				if err := json.Unmarshal(out, &got); err != nil {
+				var res EvalResponse
+				if err := json.Unmarshal(out, &res); err != nil {
 					errs <- err
 					return
 				}
+				got := res.Scenarios[0].Prediction
 				if got.STP != want.STP || got.ANTT != want.ANTT {
 					errs <- fmt.Errorf("goroutine %d: STP/ANTT %v/%v, want %v/%v",
 						g, got.STP, got.ANTT, want.STP, want.ANTT)
@@ -437,15 +454,20 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
+// TestHealthz: the liveness probe answers {"status":"ok"}.
 func TestHealthz(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	defer resp.Body.Close()
+	var body map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || body["status"] != "ok" {
+		t.Fatalf("status %d, body %v", resp.StatusCode, body)
 	}
 }
 
@@ -492,7 +514,7 @@ func TestWarmupEndpoint(t *testing.T) {
 	}
 
 	// A prediction after warmup is served entirely from cache.
-	resp, data = postJSON(t, ts.URL+"/v1/predict", map[string]any{
+	resp, data = postJSON(t, ts.URL+"/v1/eval", map[string]any{
 		"mix": []string{"gamess", "lbm"}, "config": "config#3",
 	})
 	if resp.StatusCode != http.StatusOK {

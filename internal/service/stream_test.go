@@ -97,21 +97,6 @@ func TestEvalStreamRejectsTopK(t *testing.T) {
 	}
 }
 
-// TestCompatEndpointsRejectStream: the single-scenario and sweep
-// endpoints don't stream; the stream field must be called out, not
-// silently ignored.
-func TestCompatEndpointsRejectStream(t *testing.T) {
-	ts, _ := newTestServer(t)
-	for _, ep := range []string{"/v1/predict", "/v1/simulate", "/v1/sweep"} {
-		resp, data := postJSON(t, ts.URL+ep, map[string]any{
-			"mix": []string{"gamess", "lbm"}, "stream": true,
-		})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400: %s", ep, resp.StatusCode, data)
-		}
-	}
-}
-
 func TestVersionEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/v1/version")

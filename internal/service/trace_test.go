@@ -102,11 +102,11 @@ func TestTracedEvalEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(New(sys, WithTraceDebug()).Handler())
 	t.Cleanup(ts.Close)
 
-	resp, data := postJSON(t, ts.URL+"/v1/predict", EvalRequest{
+	resp, data := postJSON(t, ts.URL+"/v1/eval", EvalRequest{
 		Mix: []string{"gamess", "lbm", "soplex", "mcf"},
 	})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict status %d: %s", resp.StatusCode, data)
+		t.Fatalf("eval status %d: %s", resp.StatusCode, data)
 	}
 	traceID := resp.Header.Get(obs.TraceIDHeader)
 	if traceID == "" {
@@ -126,7 +126,7 @@ func TestTracedEvalEndToEnd(t *testing.T) {
 		byID[sp.SpanID] = sp
 		names[sp.Name]++
 	}
-	for _, want := range []string{"POST /v1/predict", "engine.queue", "engine.run", "sim.record", "store.load"} {
+	for _, want := range []string{"POST /v1/eval", "engine.queue", "engine.run", "sim.record", "store.load"} {
 		if names[want] == 0 {
 			t.Fatalf("trace missing %q span; got %v", want, names)
 		}
@@ -232,9 +232,9 @@ func TestTraceMetricsExposed(t *testing.T) {
 	ts := httptest.NewServer(New(sys, WithTraceDebug()).Handler())
 	t.Cleanup(ts.Close)
 
-	resp, data := postJSON(t, ts.URL+"/v1/predict", EvalRequest{Mix: []string{"gamess", "lbm"}})
+	resp, data := postJSON(t, ts.URL+"/v1/eval", EvalRequest{Mix: []string{"gamess", "lbm"}})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict status %d: %s", resp.StatusCode, data)
+		t.Fatalf("eval status %d: %s", resp.StatusCode, data)
 	}
 	_, body := getBody(t, ts.URL+"/metrics")
 	for _, want := range []string{

@@ -1,9 +1,7 @@
 package wire
 
-// EvalRequest is the one wire shape every evaluation endpoint decodes:
-// it mirrors mppm.Request field for field. /v1/eval accepts all of it;
-// the compat endpoints accept the subset their old bodies used (the
-// kind is then implied by the path). The service re-exports it as
+// EvalRequest is the /v1/eval request shape: it mirrors mppm.Request
+// field for field. The service re-exports it as
 // service.EvalRequest; it lives here so the binary request codec and
 // the JSON shape can never drift apart.
 type EvalRequest struct {
@@ -23,11 +21,12 @@ type EvalRequest struct {
 	Contention string `json:"contention,omitempty"`
 	// TopK, when positive, keeps only the k lowest-STP scenarios.
 	TopK int `json:"top_k,omitempty"`
-	// Stream, on /v1/eval only, switches the response to NDJSON: one
-	// ScenarioResult per line in config-major grid order, flushed as
-	// each scenario (and every scenario before it) completes — the wire
-	// form of System.EvalStream, and the transport fleet shard requests
-	// ride on. Incompatible with top_k (ranking needs the full grid).
+	// Stream switches the response to NDJSON: one ScenarioResult per
+	// line in config-major grid order, flushed as each scenario (and
+	// every scenario before it) completes — the JSON form of
+	// System.EvalStream, and the fleet's shard transport to a peer on
+	// another wire version. Incompatible with top_k (ranking needs the
+	// full grid).
 	Stream bool `json:"stream,omitempty"`
 	// Format selects the /v1/eval response encoding: "" or "json" keeps
 	// the JSON document (or NDJSON when Stream is set); "wire" switches

@@ -23,9 +23,7 @@
 // thousand-mix batches, design-space sweeps over every Table 2 LLC,
 // stress searches — executes through one concurrent evaluation engine
 // with bounded workers, context cancellation and singleflight profile
-// caching, and EvalStream yields sweep scenarios incrementally. The
-// pre-Request methods (Predict, Simulate, Sweep, ...) remain as thin
-// deprecated wrappers over Eval.
+// caching, and EvalStream yields sweep scenarios incrementally.
 package mppm
 
 import (
@@ -356,88 +354,6 @@ type Measurement struct {
 	ANTT       float64
 }
 
-// singleScenario evaluates one mix through Eval and returns its scenario.
-func (s *System) singleScenario(kind Kind, mix []string, opts ...Option) (*Scenario, error) {
-	res, err := s.Eval(context.Background(), NewRequest(kind, []Mix{Mix(mix)}, opts...))
-	if err != nil {
-		return nil, err
-	}
-	sc := &res.Scenarios[0]
-	if sc.Err != nil {
-		return nil, sc.Err
-	}
-	return sc, nil
-}
-
-// Predict evaluates MPPM for the mix using default model options.
-//
-// Deprecated: use Eval with a KindPredict Request; pass the set with
-// WithProfiles (or omit it to use the engine's profile cache).
-func (s *System) Predict(set *ProfileSet, mix []string) (*Prediction, error) {
-	return s.PredictWithOptions(set, mix, ModelOptions{})
-}
-
-// PredictWithOptions evaluates MPPM with explicit solver options.
-//
-// Deprecated: use Eval with WithProfiles and WithOptions.
-func (s *System) PredictWithOptions(set *ProfileSet, mix []string, opts ModelOptions) (*Prediction, error) {
-	sc, err := s.singleScenario(KindPredict, mix, WithProfiles(set), WithOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return sc.Prediction, nil
-}
-
-// SimulateWithProfiles runs the detailed multi-core simulator for a mix
-// and derives STP/ANTT against the given profile set's single-core
-// CPIs. When set is nil the single-core CPIs come from the engine's
-// profile cache.
-//
-// Deprecated: use Eval with a KindSimulate Request.
-func (s *System) SimulateWithProfiles(set *ProfileSet, mix []string) (*Measurement, error) {
-	sc, err := s.singleScenario(KindSimulate, mix, WithProfiles(set))
-	if err != nil {
-		return nil, err
-	}
-	return sc.Measurement, nil
-}
-
-// Simulate is SimulateWithProfiles with engine-cached single-core
-// profiling.
-//
-// Deprecated: use Eval with a KindSimulate Request.
-func (s *System) Simulate(mix []string) (*Measurement, error) {
-	return s.SimulateWithProfiles(nil, mix)
-}
-
-// Compare holds a side-by-side prediction and measurement for one mix.
-type Compare struct {
-	Prediction  *Prediction
-	Measurement *Measurement
-}
-
-// STPError returns the prediction's relative STP error.
-func (c Compare) STPError() float64 {
-	return (c.Prediction.STP - c.Measurement.STP) / c.Measurement.STP
-}
-
-// ANTTError returns the prediction's relative ANTT error.
-func (c Compare) ANTTError() float64 {
-	return (c.Prediction.ANTT - c.Measurement.ANTT) / c.Measurement.ANTT
-}
-
-// CompareMix predicts and simulates the same mix.
-//
-// Deprecated: use Eval with a KindCompare Request; each Scenario then
-// carries both Prediction and Measurement plus STPError/ANTTError.
-func (s *System) CompareMix(set *ProfileSet, mix []string) (*Compare, error) {
-	sc, err := s.singleScenario(KindCompare, mix, WithProfiles(set))
-	if err != nil {
-		return nil, err
-	}
-	return &Compare{Prediction: sc.Prediction, Measurement: sc.Measurement}, nil
-}
-
 // ConfidenceReport summarizes MPPM predictions over many mixes with 95%
 // confidence bounds — the paper's contribution #3 ("MPPM provides
 // confidence bounds on its performance estimates").
@@ -450,11 +366,19 @@ type ConfidenceReport struct {
 // Confidence computes a 95% confidence report over a slice of
 // predictions (at least two).
 func Confidence(preds []*Prediction) (*ConfidenceReport, error) {
-	stp := make([]float64, len(preds))
-	antt := make([]float64, len(preds))
-	for i, p := range preds {
-		stp[i] = p.STP
-		antt[i] = p.ANTT
+	return confidence(len(preds), func(i int) (float64, float64) {
+		return preds[i].STP, preds[i].ANTT
+	})
+}
+
+// confidence is the one body behind Confidence and Result.Confidence:
+// 95% mean intervals over n observations, at(i) yielding the i-th STP
+// and ANTT.
+func confidence(n int, at func(i int) (stp, antt float64)) (*ConfidenceReport, error) {
+	stp := make([]float64, n)
+	antt := make([]float64, n)
+	for i := range n {
+		stp[i], antt[i] = at(i)
 	}
 	ciS, err := stats.MeanCI(stp, 0.95)
 	if err != nil {
@@ -464,112 +388,7 @@ func Confidence(preds []*Prediction) (*ConfidenceReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ConfidenceReport{Mixes: len(preds), STP: ciS, ANTT: ciA}, nil
-}
-
-// PredictMany evaluates MPPM over many mixes concurrently and returns
-// the per-mix results plus a confidence report.
-//
-// Deprecated: use Eval with a KindPredict Request over the mixes, then
-// Result.Predictions and Result.Confidence.
-func (s *System) PredictMany(set *ProfileSet, mixes []Mix, opts ModelOptions) ([]*Prediction, *ConfidenceReport, error) {
-	res, err := s.Eval(context.Background(),
-		NewRequest(KindPredict, mixes, WithProfiles(set), WithOptions(opts)))
-	if err != nil {
-		return nil, nil, err
-	}
-	preds, err := res.Predictions()
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err := res.Confidence()
-	if err != nil {
-		return nil, nil, err
-	}
-	return preds, rep, nil
-}
-
-// PredictBatch evaluates MPPM for many mixes concurrently on the
-// system's LLC, bounded by the worker pool, with results aligned to the
-// input order. Single-core profiles are computed at most once per
-// benchmark across all calls on this System; cancel ctx to abort
-// mid-batch.
-//
-// Deprecated: use Eval with a KindPredict Request.
-func (s *System) PredictBatch(ctx context.Context, mixes []Mix) ([]*Prediction, error) {
-	return s.PredictBatchWithOptions(ctx, mixes, ModelOptions{})
-}
-
-// PredictBatchWithOptions is PredictBatch with explicit solver options.
-//
-// Deprecated: use Eval with WithOptions.
-func (s *System) PredictBatchWithOptions(ctx context.Context, mixes []Mix, opts ModelOptions) ([]*Prediction, error) {
-	res, err := s.Eval(ctx, NewRequest(KindPredict, mixes, WithOptions(opts)))
-	if err != nil {
-		return nil, err
-	}
-	return res.Predictions()
-}
-
-// SweepResult reports a design-space sweep: every mix evaluated on
-// every LLC configuration.
-type SweepResult struct {
-	Configs []LLCConfig
-	Mixes   []Mix
-	// Predictions[c][m] is Mixes[m] evaluated on Configs[c].
-	Predictions [][]*Prediction
-}
-
-// MeanSTP returns the average predicted STP of configuration c over all
-// mixes — the Section 5 design-ranking quantity.
-func (r *SweepResult) MeanSTP(c int) float64 {
-	if len(r.Predictions[c]) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range r.Predictions[c] {
-		sum += p.STP
-	}
-	return sum / float64(len(r.Predictions[c]))
-}
-
-// Sweep evaluates MPPM for every mix on every LLC configuration (nil
-// configs means all six Table 2 configurations).
-//
-// Deprecated: use Eval with WithConfigs — or EvalStream to consume a
-// large sweep incrementally.
-func (s *System) Sweep(ctx context.Context, mixes []Mix, configs []LLCConfig) (*SweepResult, error) {
-	return s.SweepWithOptions(ctx, mixes, configs, ModelOptions{})
-}
-
-// SweepWithOptions is Sweep with explicit solver options.
-//
-// Deprecated: use Eval with WithConfigs and WithOptions.
-func (s *System) SweepWithOptions(ctx context.Context, mixes []Mix, configs []LLCConfig, opts ModelOptions) (*SweepResult, error) {
-	if configs == nil {
-		configs = LLCConfigs()
-	}
-	res, err := s.Eval(ctx, NewRequest(KindPredict, mixes, WithConfigs(configs...), WithOptions(opts)))
-	if err != nil {
-		return nil, err
-	}
-	out := &SweepResult{
-		Configs:     res.Configs,
-		Mixes:       res.Mixes,
-		Predictions: make([][]*Prediction, len(res.Configs)),
-	}
-	for c := range res.Configs {
-		row := make([]*Prediction, len(res.Mixes))
-		for m := range res.Mixes {
-			sc := res.At(c, m)
-			if sc.Err != nil {
-				return nil, sc.Err
-			}
-			row[m] = sc.Prediction
-		}
-		out.Predictions[c] = row
-	}
-	return out, nil
+	return &ConfidenceReport{Mixes: n, STP: ciS, ANTT: ciA}, nil
 }
 
 // RandomMixes draws deterministic random workload mixes over the suite.
@@ -585,45 +404,6 @@ func RandomMixes(count, cores int, seed int64) ([]Mix, error) {
 // over N benchmarks (the combinatorial explosion of Section 1).
 func NumMixes(benchmarks, cores int) (int64, error) {
 	return workload.NumMixes(benchmarks, cores)
-}
-
-// StressMix describes one low-STP workload found by StressSearch.
-type StressMix struct {
-	Mix Mix
-	STP float64
-	// WorstProgram and WorstSlowdown identify the program the model says
-	// suffers most.
-	WorstProgram  string
-	WorstSlowdown float64
-}
-
-// StressSearch evaluates MPPM over the given mixes and returns the k
-// lowest-STP workloads, worst first — the Section 6 use case: finding
-// stress workloads without simulating them.
-//
-// Deprecated: use Eval with a KindPredict Request and WithTopK(k).
-func (s *System) StressSearch(set *ProfileSet, mixes []Mix, k int) ([]StressMix, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("mppm: k < 1: %w", ErrBadConfig)
-	}
-	res, err := s.Eval(context.Background(),
-		NewRequest(KindPredict, mixes, WithProfiles(set), WithTopK(k)))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]StressMix, 0, k)
-	for i := range res.Scenarios {
-		sc := &res.Scenarios[i]
-		if sc.Err != nil {
-			return nil, sc.Err
-		}
-		name, slow := sc.Prediction.MaxSlowdown()
-		out = append(out, StressMix{
-			Mix: sc.Mix, STP: sc.Prediction.STP,
-			WorstProgram: name, WorstSlowdown: slow,
-		})
-	}
-	return out, nil
 }
 
 // Class labels a benchmark memory-intensive or compute-intensive, the

@@ -158,6 +158,10 @@ func TestPredictManyConfidence(t *testing.T) {
 	if rep.STP.Lo() > rep.STP.Hi() {
 		t.Fatal("inverted interval")
 	}
+	// The slice form over the same predictions is the same report.
+	if fromPreds, err := Confidence(preds); err != nil || *fromPreds != *rep {
+		t.Fatalf("Confidence(preds) = %+v, %v; Result.Confidence = %+v", fromPreds, err, rep)
+	}
 	if _, err := sys.Eval(context.Background(),
 		NewRequest(KindPredict, nil, WithProfiles(set))); err == nil {
 		t.Fatal("empty mixes should error")

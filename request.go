@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/engine"
-	"repro/internal/stats"
 )
 
 // Kind selects how a Request's scenarios are evaluated.
@@ -266,21 +265,9 @@ func (r *Result) Confidence() (*ConfidenceReport, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	stp := make([]float64, len(r.Scenarios))
-	antt := make([]float64, len(r.Scenarios))
-	for i := range r.Scenarios {
-		stp[i] = r.Scenarios[i].STP()
-		antt[i] = r.Scenarios[i].ANTT()
-	}
-	ciS, err := stats.MeanCI(stp, 0.95)
-	if err != nil {
-		return nil, err
-	}
-	ciA, err := stats.MeanCI(antt, 0.95)
-	if err != nil {
-		return nil, err
-	}
-	return &ConfidenceReport{Mixes: len(r.Scenarios), STP: ciS, ANTT: ciA}, nil
+	return confidence(len(r.Scenarios), func(i int) (float64, float64) {
+		return r.Scenarios[i].STP(), r.Scenarios[i].ANTT()
+	})
 }
 
 // evalPlan is a validated request lowered onto engine jobs: per engine
