@@ -53,9 +53,10 @@ race:
 fleet-smoke:
 	go test -run 'TestFleetByteIdentity|TestFleetFailover|TestFleetErrorParity|TestFleetSelfCoordination|TestFleetTraceStitch' -count 1 -timeout $(TEST_TIMEOUT) -v ./internal/fleet/
 
-# bench-baseline regenerates BENCH_PR10.json at the repo root — the
-# in-tree perf snapshot the CI bench job mirrors as per-run artifacts.
-# Run it on an idle machine; the numbers land in the README table.
+# bench-baseline regenerates $(GATE_BASELINE) at the repo root — the
+# in-tree perf snapshot bench-gate compares against and the CI bench
+# job mirrors as per-run artifacts. Run it on an idle machine; the
+# numbers land in the README table.
 bench-baseline:
 	set -o pipefail; \
 	go test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count $(BENCH_COUNT) ./... | tee bench.txt
@@ -67,9 +68,9 @@ bench-baseline:
 	  sed 's/\\/\\\\/g; s/"/\\"/g; s/\t/\\t/g; s/^/    "/; s/$$/",/' bench.txt | sed '$$ s/,$$//'; \
 	  echo "  ]"; \
 	  echo "}"; \
-	} > BENCH_PR10.json
+	} > $(GATE_BASELINE)
 	@rm -f bench.txt
-	@echo "wrote BENCH_PR10.json"
+	@echo "wrote $(GATE_BASELINE)"
 
 # bench-gate is the CI perf regression gate: run the tracked benchmarks
 # and fail if any regresses more than GATE_THRESHOLD (ns/op or

@@ -135,7 +135,7 @@ func (s *Server) writeStoreMetrics(e *obs.Exposition) {
 		"Artifacts persisted to the store by this process.")
 	e.Value(float64(ss.Saves))
 	e.Family("mppm_store_save_skips_total", "counter",
-		"Saves elided because the artifact existed or another writer held the lock.")
+		"Saves elided because the artifact already existed.")
 	e.Value(float64(ss.SaveSkips))
 	e.Family("mppm_store_save_errors_total", "counter",
 		"Store save attempts that failed with an I/O error.")

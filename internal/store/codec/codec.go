@@ -401,6 +401,11 @@ func EncodeProfile(p *profile.Profile, specHash uint64) []byte {
 	return binenc.AppendChecksum(e.B)
 }
 
+// f64At reads the raw-bit float64 at b[off:].
+func f64At(b []byte, off int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
+}
+
 // maxProfileWays bounds decoded SDC associativity; real configurations
 // are <= 16 ways, so anything huge is structural nonsense.
 const maxProfileWays = 1 << 10
@@ -423,8 +428,10 @@ func DecodeProfile(b []byte) (*profile.Profile, Header, error) {
 	if ways < 1 || ways > maxProfileWays {
 		return nil, Header{}, fmt.Errorf("%w: implausible SDC associativity %d", ErrCorrupt, ways)
 	}
-	// Each interval needs at least 1 + 3*8 + (ways+1)*8 bytes.
-	n := d.Count(1 + 24 + 8*(int(ways)+1))
+	// Each interval is an instruction-count uvarint followed by its
+	// fixed-width floats: three counters and the ways+1 SDC buckets.
+	floatBytes := 8 * (3 + int(ways) + 1)
+	n := d.Count(1 + floatBytes)
 	p := &profile.Profile{
 		Meta: profile.Meta{
 			Benchmark:      h.Benchmark,
@@ -439,12 +446,17 @@ func DecodeProfile(b []byte) (*profile.Profile, Header, error) {
 	for i := 0; i < n && d.Err() == nil; i++ {
 		iv := &p.Intervals[i]
 		iv.Instructions = int64(d.Uvarint())
-		iv.Cycles = d.F64()
-		iv.MemStall = d.F64()
-		iv.LLCAccesses = d.F64()
+		f := d.Bytes(floatBytes)
+		if f == nil {
+			break
+		}
+		iv.Cycles = f64At(f, 0)
+		iv.MemStall = f64At(f, 8)
+		iv.LLCAccesses = f64At(f, 16)
 		sdcs := make([]float64, ways+1)
+		f = f[24:]
 		for k := range sdcs {
-			sdcs[k] = d.F64()
+			sdcs[k] = f64At(f, 8*k)
 		}
 		iv.SDC = sdcs
 	}

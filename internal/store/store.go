@@ -14,11 +14,12 @@
 // identity (benchmark spec hash, trace scale, capture parameters, and —
 // for profiles — the LLC geometry and replay options), so distinct
 // configurations can never alias and a changed benchmark definition
-// simply misses. Files are written via a sidecar lock plus atomic
-// rename, so concurrent replicas never observe a torn artifact and at
-// most one of them pays the serialization work for any key. The format
-// version is part of the path: a codec bump starts a fresh tree and
-// leaves the old one to GC.
+// simply misses. Every writer stages its payload in a uniquely named
+// temp file and renames it into place; rename is atomic, so concurrent
+// replicas never observe a torn artifact. Two replicas racing on one
+// key may both encode it, and the later rename replaces identical
+// content. The format version is part of the path: a codec bump starts
+// a fresh tree and leaves the old one to GC.
 //
 // The store is a cache, not a database: every Load failure — missing,
 // corrupt, stale, version-skewed — is reported as a miss (with the
@@ -33,14 +34,18 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/sim"
@@ -51,14 +56,16 @@ import (
 const (
 	recordingExt = ".rec"
 	profileExt   = ".prof"
-	lockExt      = ".lock"
 	tmpExt       = ".tmp"
 
-	// staleLockAge is how old a sidecar lock may grow before another
-	// writer declares its owner dead and steals it. Serializing even the
-	// largest recording takes well under a second; minutes of age means
-	// a crashed process.
-	staleLockAge = 10 * time.Minute
+	// staleTmpAge is how old a temp file may grow before GC declares its
+	// writer dead and sweeps it. Serializing even the largest recording
+	// takes well under a second; minutes of age means a crashed process.
+	staleTmpAge = 10 * time.Minute
+
+	// maxPooledRead caps the read buffers kept for reuse, so one large
+	// recording does not pin its size in the pool.
+	maxPooledRead = 4 << 20
 )
 
 // Stats are the store's operation counters. All fields are cumulative
@@ -74,8 +81,8 @@ type Stats struct {
 	ProfileMisses   int64 `json:"profile_misses"`
 	Rejected        int64 `json:"rejected"`
 	// Saves counts artifacts persisted by this handle; SaveSkips counts
-	// saves elided because the artifact already existed or another
-	// writer held the key's lock; SaveErrors counts I/O failures.
+	// saves elided because the artifact already existed; SaveErrors
+	// counts I/O failures.
 	Saves      int64 `json:"saves"`
 	SaveSkips  int64 `json:"save_skips"`
 	SaveErrors int64 `json:"save_errors"`
@@ -125,10 +132,45 @@ var ErrBadArtifactRef = errors.New("store: bad artifact reference")
 // before trusting it. Implementations must be safe for concurrent use.
 type PeerFetch func(kind ArtifactKind, key string) ([]byte, error)
 
+// fileSystem is the seam under save: the calls the write path makes,
+// so tests can inject the faults a real disk produces (ENOSPC, EIO,
+// short writes). Handles from Open use osFS.
+type fileSystem interface {
+	CreateTemp(dir, pattern string) (tempFile, error)
+	MkdirAll(path string, perm fs.FileMode) error
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+}
+
+// tempFile is the part of *os.File a save writes through.
+type tempFile interface {
+	Name() string
+	Chmod(mode fs.FileMode) error
+	Write(b []byte) (int, error)
+	Close() error
+}
+
+// osFS is the operating system's filesystem.
+type osFS struct{}
+
+func (osFS) CreateTemp(dir, pattern string) (tempFile, error) {
+	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+
 // Store is a handle on one artifact directory. The zero value is not
 // usable; call Open.
 type Store struct {
-	dir string
+	dir  string
+	vdir string // the current format version's subtree
+	fs   fileSystem
 
 	// peerFetch, when non-nil, is consulted after a local load misses
 	// and before the caller recomputes. Set once via SetPeerFetch before
@@ -154,7 +196,11 @@ type Store struct {
 // fails; a missing or unwritable directory degrades to a pass-through
 // cache (all loads miss, saves count as errors).
 func Open(dir string) *Store {
-	return &Store{dir: dir}
+	return &Store{
+		dir:  dir,
+		vdir: filepath.Join(dir, "v"+strconv.Itoa(codec.FormatVersion)),
+		fs:   osFS{},
+	}
 }
 
 // Dir returns the store's root directory.
@@ -174,16 +220,15 @@ func (s *Store) SetPeerFetch(f PeerFetch) { s.peerFetch = f }
 // — a store that fails it would degrade every save to an error, which a
 // load balancer should know before routing cold-start traffic here.
 func (s *Store) Ready() error {
-	dir := s.versionDir()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(s.vdir, 0o755); err != nil {
 		return fmt.Errorf("store: not ready: %w", err)
 	}
-	fi, err := os.Stat(dir)
+	fi, err := os.Stat(s.vdir)
 	if err != nil {
 		return fmt.Errorf("store: not ready: %w", err)
 	}
 	if !fi.IsDir() {
-		return fmt.Errorf("store: not ready: %s is not a directory", dir)
+		return fmt.Errorf("store: not ready: %s is not a directory", s.vdir)
 	}
 	return nil
 }
@@ -207,53 +252,102 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// versionDir is the current format version's subtree.
-func (s *Store) versionDir() string {
-	return filepath.Join(s.dir, fmt.Sprintf("v%d", codec.FormatVersion))
-}
-
-// recordingIdentity is the canonical identity string a recording key
-// hashes: everything the profiling frontend depends on — including
+// appendFrontendIdentity appends the identity every artifact shares:
+// everything the profiling frontend depends on — including
 // sim.OutputGeneration, so a semantic change to the pipeline (same
 // encoding, different values) invalidates every artifact instead of
-// serving stale ones. The LLC geometry and bandwidth model are
-// replay-side and deliberately absent.
-func recordingIdentity(specHash uint64, cfg sim.Config) string {
-	return fmt.Sprintf("recording|gen=%d|spec=%016x|n=%d|iv=%d|cpu=%+v|l1d=%+v|l2=%+v",
-		sim.OutputGeneration, specHash, cfg.TraceLength, cfg.IntervalLength,
-		cfg.CPU, cfg.Hierarchy.L1D, cfg.Hierarchy.L2)
+// serving stale ones. The text is exactly what fmt renders for
+//
+//	"|gen=%d|spec=%016x|n=%d|iv=%d|cpu=%+v|l1d=%+v|l2=%+v"
+//
+// which is what existing stores are keyed by (TestKeysStable).
+func appendFrontendIdentity(b []byte, specHash uint64, cfg sim.Config) []byte {
+	b = append(b, "|gen="...)
+	b = strconv.AppendInt(b, sim.OutputGeneration, 10)
+	b = append(b, "|spec="...)
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[specHash>>shift&0xf])
+	}
+	b = append(b, "|n="...)
+	b = strconv.AppendInt(b, cfg.TraceLength, 10)
+	b = append(b, "|iv="...)
+	b = strconv.AppendInt(b, cfg.IntervalLength, 10)
+	c := cfg.CPU
+	b = append(b, "|cpu={ROBWindow:"...)
+	b = strconv.AppendInt(b, c.ROBWindow, 10)
+	b = append(b, " HiddenLatency:"...)
+	b = strconv.AppendFloat(b, c.HiddenLatency, 'g', -1, 64)
+	b = append(b, " L2HitStall:"...)
+	b = strconv.AppendFloat(b, c.L2HitStall, 'g', -1, 64)
+	b = append(b, " MemLatency:"...)
+	b = strconv.AppendFloat(b, c.MemLatency, 'g', -1, 64)
+	b = append(b, " OverlapFactor:"...)
+	b = strconv.AppendFloat(b, c.OverlapFactor, 'g', -1, 64)
+	b = append(b, '}')
+	b = appendCacheIdentity(b, "|l1d=", cfg.Hierarchy.L1D)
+	return appendCacheIdentity(b, "|l2=", cfg.Hierarchy.L2)
 }
 
-// profileIdentity extends the recording identity with the replay-side
-// knobs a profile depends on.
-func profileIdentity(specHash uint64, cfg sim.Config, opts sim.ProfileOptions) string {
-	return fmt.Sprintf("profile|gen=%d|spec=%016x|n=%d|iv=%d|cpu=%+v|l1d=%+v|l2=%+v|llc=%+v|occ=%v|perfect=%v",
-		sim.OutputGeneration, specHash, cfg.TraceLength, cfg.IntervalLength,
-		cfg.CPU, cfg.Hierarchy.L1D, cfg.Hierarchy.L2, cfg.Hierarchy.LLC,
-		cfg.MemBandwidthOccupancy, opts.PerfectLLC)
-}
-
-// key content-addresses an identity string.
-func key(identity string) string {
-	sum := sha256.Sum256([]byte(identity))
-	return hex.EncodeToString(sum[:16])
+// appendCacheIdentity appends label and a cache geometry as %+v
+// renders it.
+func appendCacheIdentity(b []byte, label string, c cache.Config) []byte {
+	b = append(b, label...)
+	b = append(b, "{Name:"...)
+	b = append(b, c.Name...)
+	b = append(b, " SizeBytes:"...)
+	b = strconv.AppendInt(b, c.SizeBytes, 10)
+	b = append(b, " Ways:"...)
+	b = strconv.AppendInt(b, int64(c.Ways), 10)
+	b = append(b, " LineSize:"...)
+	b = strconv.AppendInt(b, c.LineSize, 10)
+	b = append(b, " LatencyCycles:"...)
+	b = strconv.AppendInt(b, int64(c.LatencyCycles), 10)
+	return append(b, '}')
 }
 
 // keyLen is the length of an encoded content key (hex of the truncated
 // SHA-256).
 const keyLen = 32
 
+// contentKey content-addresses an identity.
+func contentKey(identity []byte) string {
+	sum := sha256.Sum256(identity)
+	return hex.EncodeToString(sum[:keyLen/2])
+}
+
+// recordingKey keys a recording by its identity. The LLC geometry and
+// bandwidth model are replay-side and deliberately absent.
+func recordingKey(specHash uint64, cfg sim.Config) string {
+	var buf [512]byte
+	b := append(buf[:0], "recording"...)
+	return contentKey(appendFrontendIdentity(b, specHash, cfg))
+}
+
+// profileKey extends the recording identity with the replay-side knobs
+// a profile depends on, rendered as "|llc=%+v|occ=%v|perfect=%v".
+func profileKey(specHash uint64, cfg sim.Config, opts sim.ProfileOptions) string {
+	var buf [512]byte
+	b := append(buf[:0], "profile"...)
+	b = appendFrontendIdentity(b, specHash, cfg)
+	b = appendCacheIdentity(b, "|llc=", cfg.Hierarchy.LLC)
+	b = append(b, "|occ="...)
+	b = strconv.AppendFloat(b, cfg.MemBandwidthOccupancy, 'g', -1, 64)
+	b = append(b, "|perfect="...)
+	b = strconv.AppendBool(b, opts.PerfectLLC)
+	return contentKey(b)
+}
+
 // RecordingKey returns the content key of one (benchmark, config)
 // frontend recording — the address a replica quotes when asking a fleet
 // peer for the artifact.
 func RecordingKey(spec trace.Spec, cfg sim.Config) string {
-	return key(recordingIdentity(codec.SpecHash(spec), cfg))
+	return recordingKey(codec.SpecHash(spec), cfg)
 }
 
 // ProfileKey returns the content key of one (benchmark, config, options)
 // single-core profile.
 func ProfileKey(spec trace.Spec, cfg sim.Config, opts sim.ProfileOptions) string {
-	return key(profileIdentity(codec.SpecHash(spec), cfg, opts))
+	return profileKey(codec.SpecHash(spec), cfg, opts)
 }
 
 // validKey reports whether key has the exact shape RecordingKey and
@@ -272,16 +366,12 @@ func validKey(key string) bool {
 	return true
 }
 
-// artifactPath is the on-disk location of one artifact by kind and key.
-func (s *Store) artifactPath(kind ArtifactKind, key string) (string, error) {
-	ext, ok := kind.ext()
-	if !ok {
-		return "", fmt.Errorf("%w: unknown kind %q", ErrBadArtifactRef, string(kind))
-	}
-	if !validKey(key) {
-		return "", fmt.Errorf("%w: malformed key %q", ErrBadArtifactRef, key)
-	}
-	return filepath.Join(s.versionDir(), string(kind), key+ext), nil
+// path is the on-disk location of one artifact of a known kind under a
+// well-formed key.
+func (s *Store) path(kind ArtifactKind, key string) string {
+	ext, _ := kind.ext()
+	return s.vdir + string(filepath.Separator) + string(kind) +
+		string(filepath.Separator) + key + ext
 }
 
 // ReadRaw returns the exact encoded file bytes of one artifact — codec
@@ -291,25 +381,60 @@ func (s *Store) artifactPath(kind ArtifactKind, key string) (string, error) {
 // shape. A missing artifact returns an error wrapping fs.ErrNotExist; a
 // malformed reference wraps ErrBadArtifactRef.
 func (s *Store) ReadRaw(kind ArtifactKind, key string) ([]byte, error) {
-	path, err := s.artifactPath(kind, key)
-	if err != nil {
-		return nil, err
+	if _, ok := kind.ext(); !ok {
+		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadArtifactRef, string(kind))
 	}
-	b, err := os.ReadFile(path)
+	if !validKey(key) {
+		return nil, fmt.Errorf("%w: malformed key %q", ErrBadArtifactRef, key)
+	}
+	b, err := os.ReadFile(s.path(kind, key))
 	if err != nil {
 		return nil, fmt.Errorf("store: artifact %s/%s: %w", kind, key, err)
 	}
 	return b, nil
 }
 
-func (s *Store) recordingPath(spec trace.Spec, cfg sim.Config) string {
-	return filepath.Join(s.versionDir(), "recordings",
-		RecordingKey(spec, cfg)+recordingExt)
+// readBufs recycles the buffers local loads read artifacts into.
+var readBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 16<<10)
+	return &b
+}}
+
+// readPooled reads a whole file with one open, a read loop and a close
+// into a pooled buffer. The caller hands the buffer back with
+// releaseRead once nothing reads it any more — after decode returns.
+func readPooled(path string) (*[]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	bp := readBufs.Get().(*[]byte)
+	b := (*bp)[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		var n int
+		n, err = f.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			break
+		}
+	}
+	f.Close()
+	*bp = b
+	if err != io.EOF {
+		releaseRead(bp)
+		return nil, err
+	}
+	return bp, nil
 }
 
-func (s *Store) profilePath(spec trace.Spec, cfg sim.Config, opts sim.ProfileOptions) string {
-	return filepath.Join(s.versionDir(), "profiles",
-		ProfileKey(spec, cfg, opts)+profileExt)
+// releaseRead returns a read buffer to the pool.
+func releaseRead(bp *[]byte) {
+	if cap(*bp) <= maxPooledRead {
+		readBufs.Put(bp)
+	}
 }
 
 // reject discards a damaged or stale artifact so the recomputed
@@ -329,11 +454,12 @@ func (s *Store) reject(path string) {
 // bytes — codec decode (checksum, structural validation) plus identity
 // checks against what the caller asked for — and returns nil on any
 // failure. Local files and peer-fetched bytes pass the exact same bar.
-func decodeRecording(b []byte, spec trace.Spec, cfg sim.Config) *sim.Recording {
+// The recording never aliases b.
+func decodeRecording(b []byte, name string, specHash uint64, cfg sim.Config) *sim.Recording {
 	rec, hdr, err := codec.DecodeRecording(b)
 	if err != nil ||
-		hdr.Benchmark != spec.Name ||
-		hdr.SpecHash != codec.SpecHash(spec) ||
+		hdr.Benchmark != name ||
+		hdr.SpecHash != specHash ||
 		hdr.TraceLength != cfg.TraceLength ||
 		hdr.IntervalLength != cfg.IntervalLength {
 		return nil
@@ -343,11 +469,11 @@ func decodeRecording(b []byte, spec trace.Spec, cfg sim.Config) *sim.Recording {
 
 // decodeProfile is decodeRecording's profile twin, additionally pinning
 // the LLC geometry the profile was replayed under.
-func decodeProfile(b []byte, spec trace.Spec, cfg sim.Config) *profile.Profile {
+func decodeProfile(b []byte, name string, specHash uint64, cfg sim.Config) *profile.Profile {
 	p, hdr, err := codec.DecodeProfile(b)
 	if err != nil ||
-		hdr.Benchmark != spec.Name ||
-		hdr.SpecHash != codec.SpecHash(spec) ||
+		hdr.Benchmark != name ||
+		hdr.SpecHash != specHash ||
 		hdr.TraceLength != cfg.TraceLength ||
 		hdr.IntervalLength != cfg.IntervalLength ||
 		hdr.LLC != cfg.Hierarchy.LLC {
@@ -356,31 +482,62 @@ func decodeProfile(b []byte, spec trace.Spec, cfg sim.Config) *profile.Profile {
 	return p
 }
 
+// load serves one artifact from the local file, falling through to the
+// peer tier on a miss. decode runs the full trust gauntlet, returns nil
+// on any failure and must not retain its input: a local file's bytes go
+// back to the read pool as soon as it returns.
+func load[T any](s *Store, kind ArtifactKind, key, name string, hits, misses *atomic.Int64, decode func([]byte) *T) (*T, bool) {
+	path := s.path(kind, key)
+	if bp, err := readPooled(path); err == nil {
+		v, n := decode(*bp), len(*bp)
+		releaseRead(bp)
+		if v != nil {
+			hits.Add(1)
+			s.bytesLoaded.Add(int64(n))
+			if obs.Store.Enabled(obs.LevelDebug) {
+				obs.Store.Log(context.Background(), obs.LevelDebug, "artifact hit",
+					"kind", string(kind), "benchmark", name, "bytes", n)
+			}
+			return v, true
+		}
+		s.reject(path)
+	}
+	if v := fetchFromPeer(s, kind, key, decode); v != nil {
+		return v, true
+	}
+	misses.Add(1)
+	return nil, false
+}
+
 // fetchFromPeer asks the peer tier for an artifact's raw bytes and
-// validates them with decode (which must return a non-nil artifact to
-// accept). Accepted bytes are persisted verbatim — the peer's codec
-// checksum survives the hop — so the next local load is a plain hit.
-func (s *Store) fetchFromPeer(kind ArtifactKind, key, path string, decode func([]byte) bool) bool {
+// validates them with decode. Accepted bytes are persisted verbatim —
+// the peer's codec checksum survives the hop — so the next local load
+// is a plain hit.
+func fetchFromPeer[T any](s *Store, kind ArtifactKind, key string, decode func([]byte) *T) *T {
 	if s.peerFetch == nil {
-		return false
+		return nil
 	}
 	b, err := s.peerFetch(kind, key)
-	if err != nil || len(b) == 0 || !decode(b) {
+	var v *T
+	if err == nil && len(b) > 0 {
+		v = decode(b)
+	}
+	if v == nil {
 		s.peerMisses.Add(1)
 		if obs.Store.Enabled(obs.LevelDebug) {
 			obs.Store.Log(context.Background(), obs.LevelDebug, "peer fetch miss",
 				"kind", string(kind), "key", key, "err", err)
 		}
-		return false
+		return nil
 	}
 	s.peerHits.Add(1)
 	s.peerBytes.Add(int64(len(b)))
-	_ = s.save(path, func() []byte { return b })
+	_ = s.save(kind, key, func() []byte { return b })
 	if obs.Store.Enabled(obs.LevelDebug) {
 		obs.Store.Log(context.Background(), obs.LevelDebug, "peer fetch hit",
 			"kind", string(kind), "key", key, "bytes", len(b))
 	}
-	return true
+	return v
 }
 
 // LoadRecording returns the persisted frontend recording for
@@ -390,37 +547,19 @@ func (s *Store) fetchFromPeer(kind ArtifactKind, key, path string, decode func([
 // peer-fetch tier is installed, a local miss tries the fleet before
 // giving up — a peer hit is served (and persisted) as if it were local.
 func (s *Store) LoadRecording(spec trace.Spec, cfg sim.Config) (*sim.Recording, bool) {
-	key := RecordingKey(spec, cfg)
-	path := s.recordingPath(spec, cfg)
-	if b, err := os.ReadFile(path); err == nil {
-		if rec := decodeRecording(b, spec, cfg); rec != nil {
-			s.recordingHits.Add(1)
-			s.bytesLoaded.Add(int64(len(b)))
-			if obs.Store.Enabled(obs.LevelDebug) {
-				obs.Store.Log(context.Background(), obs.LevelDebug, "recording hit",
-					"benchmark", spec.Name, "bytes", len(b))
-			}
-			return rec, true
-		}
-		s.reject(path)
-	}
-	var rec *sim.Recording
-	if s.fetchFromPeer(KindRecordings, key, path, func(b []byte) bool {
-		rec = decodeRecording(b, spec, cfg)
-		return rec != nil
-	}) {
-		return rec, true
-	}
-	s.recordingMisses.Add(1)
-	return nil, false
+	h := codec.SpecHash(spec)
+	return load(s, KindRecordings, recordingKey(h, cfg), spec.Name,
+		&s.recordingHits, &s.recordingMisses,
+		func(b []byte) *sim.Recording { return decodeRecording(b, spec.Name, h, cfg) })
 }
 
 // SaveRecording persists a frontend recording. Errors are returned for
 // observability but are safe to ignore: the store is a cache, and the
 // counters record what happened either way.
 func (s *Store) SaveRecording(spec trace.Spec, cfg sim.Config, rec *sim.Recording) error {
-	return s.save(s.recordingPath(spec, cfg), func() []byte {
-		return codec.EncodeRecording(rec, codec.SpecHash(spec))
+	h := codec.SpecHash(spec)
+	return s.save(KindRecordings, recordingKey(h, cfg), func() []byte {
+		return codec.EncodeRecording(rec, h)
 	})
 }
 
@@ -428,116 +567,40 @@ func (s *Store) SaveRecording(spec trace.Spec, cfg sim.Config, rec *sim.Recordin
 // (spec, cfg, opts), or ok=false on any miss. Like LoadRecording, a
 // local miss falls through to the peer-fetch tier when one is installed.
 func (s *Store) LoadProfile(spec trace.Spec, cfg sim.Config, opts sim.ProfileOptions) (*profile.Profile, bool) {
-	key := ProfileKey(spec, cfg, opts)
-	path := s.profilePath(spec, cfg, opts)
-	if b, err := os.ReadFile(path); err == nil {
-		if p := decodeProfile(b, spec, cfg); p != nil {
-			s.profileHits.Add(1)
-			s.bytesLoaded.Add(int64(len(b)))
-			if obs.Store.Enabled(obs.LevelDebug) {
-				obs.Store.Log(context.Background(), obs.LevelDebug, "profile hit",
-					"benchmark", spec.Name, "llc", cfg.Hierarchy.LLC.Name, "bytes", len(b))
-			}
-			return p, true
-		}
-		s.reject(path)
-	}
-	var p *profile.Profile
-	if s.fetchFromPeer(KindProfiles, key, path, func(b []byte) bool {
-		p = decodeProfile(b, spec, cfg)
-		return p != nil
-	}) {
-		return p, true
-	}
-	s.profileMisses.Add(1)
-	return nil, false
+	h := codec.SpecHash(spec)
+	return load(s, KindProfiles, profileKey(h, cfg, opts), spec.Name,
+		&s.profileHits, &s.profileMisses,
+		func(b []byte) *profile.Profile { return decodeProfile(b, spec.Name, h, cfg) })
 }
 
 // SaveProfile persists a single-core profile.
 func (s *Store) SaveProfile(spec trace.Spec, cfg sim.Config, opts sim.ProfileOptions, p *profile.Profile) error {
-	return s.save(s.profilePath(spec, cfg, opts), func() []byte {
-		return codec.EncodeProfile(p, codec.SpecHash(spec))
+	h := codec.SpecHash(spec)
+	return s.save(KindProfiles, profileKey(h, cfg, opts), func() []byte {
+		return codec.EncodeProfile(p, h)
 	})
 }
 
-// save writes an artifact with single-writer semantics: content-
-// addressed files that already exist are skipped outright, and a
-// sidecar lock (O_CREATE|O_EXCL) elects one writer per key across
-// replicas sharing the directory — the losers skip, because the winner
-// is persisting identical content.
-//
-// The lock deduplicates work; it is not what integrity rests on. Every
-// writer stages its payload in a uniquely named temp file and renames
-// it into place, and rename is atomic — so even if the stale-lock
-// steal below ever admits a second writer for one key (the steal is an
-// atomic rename of the old lock, but a claimant that observed the
-// stale lock can still displace a lock re-created in the same window),
-// the two writers touch disjoint temp files and each publishes only a
-// complete artifact. Readers can never observe a torn file.
-func (s *Store) save(path string, encode func() []byte) error {
+// save persists one artifact. A content-addressed file that already
+// exists is skipped outright. Otherwise the payload is encoded, staged
+// in a uniquely named temp file and renamed into place. Rename is
+// atomic, so readers never observe a torn artifact, and writers racing
+// on one key touch disjoint temp files and each publish only complete,
+// identical content: the last rename wins. A failed save leaves
+// neither an artifact nor a temp file behind.
+func (s *Store) save(kind ArtifactKind, key string, encode func() []byte) error {
+	path := s.path(kind, key)
 	if _, err := os.Stat(path); err == nil {
 		s.saveSkips.Add(1)
 		return nil
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := s.publish(path, encode); err != nil {
 		s.saveErrors.Add(1)
-		return fmt.Errorf("store: %w", err)
-	}
-	lock := path + lockExt
-	lf, err := os.OpenFile(lock, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		// A very old lock belongs to a crashed writer: steal it once,
-		// by atomic rename rather than Stat+Remove, so of any number of
-		// claimants exactly one proceeds per observed stale lock. The
-		// renamed-away lock ends in tmpExt, so a crash between rename
-		// and remove leaves only debris GC sweeps.
-		if fi, serr := os.Stat(lock); serr == nil && time.Since(fi.ModTime()) > staleLockAge {
-			stolen := lock + tmpExt
-			if os.Rename(lock, stolen) == nil {
-				_ = os.Remove(stolen)
-				lf, err = os.OpenFile(lock, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-			}
-		}
-		if err != nil {
-			// A held lock (another writer) is the benign skip; any other
-			// failure — permissions, read-only filesystem, disk full —
-			// is a real save error, per Open's degraded-mode contract.
-			if errors.Is(err, fs.ErrExist) {
-				s.saveSkips.Add(1)
-				return nil
-			}
-			s.saveErrors.Add(1)
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	defer func() {
-		lf.Close()
-		_ = os.Remove(lock)
-	}()
-	// The payload is encoded only once a write is actually going to
-	// happen; CreateTemp keeps concurrent writers' staging disjoint.
-	tf, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*"+tmpExt)
-	if err != nil {
-		s.saveErrors.Add(1)
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp := tf.Name()
-	_ = tf.Chmod(0o644) // CreateTemp defaults to 0600; artifacts are shareable
-	_, werr := tf.Write(encode())
-	if cerr := tf.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, path)
-	}
-	if werr != nil {
-		s.saveErrors.Add(1)
-		_ = os.Remove(tmp)
 		if obs.Store.Enabled(obs.LevelError) {
 			obs.Store.Log(context.Background(), obs.LevelError, "save failed",
-				"path", path, "err", werr)
+				"path", path, "err", err)
 		}
-		return fmt.Errorf("store: %w", werr)
+		return fmt.Errorf("store: %w", err)
 	}
 	s.saves.Add(1)
 	if obs.Store.Enabled(obs.LevelDebug) {
@@ -545,6 +608,38 @@ func (s *Store) save(path string, encode func() []byte) error {
 			"path", path)
 	}
 	return nil
+}
+
+// publish writes path through a temp file and an atomic rename. The
+// kind's directory is created by the first save that finds it missing.
+func (s *Store) publish(path string, encode func() []byte) error {
+	dir, pattern := filepath.Dir(path), filepath.Base(path)+".*"+tmpExt
+	tf, err := s.fs.CreateTemp(dir, pattern)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = s.fs.MkdirAll(dir, 0o755); err == nil {
+			tf, err = s.fs.CreateTemp(dir, pattern)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	tmp := tf.Name()
+	_ = tf.Chmod(0o644) // CreateTemp defaults to 0600; artifacts are shareable
+	b := encode()
+	n, err := tf.Write(b)
+	if err == nil && n != len(b) {
+		err = io.ErrShortWrite
+	}
+	if cerr := tf.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = s.fs.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = s.fs.Remove(tmp)
+	}
+	return err
 }
 
 // Entry describes one artifact on disk.
@@ -668,23 +763,22 @@ func (s *Store) SizeBytes() (int64, error) {
 // GC deletes artifacts, oldest modification time first, until the store
 // holds at most maxBytes. Artifacts from older format versions age out
 // naturally: they stop being touched the moment the codec is bumped, so
-// they are the first candidates. Stale temp and lock files are always
-// swept. GC is safe to run while replicas are serving: a concurrently
+// they are the first candidates. Stale temp files are always swept. GC
+// is safe to run while replicas are serving: a concurrently
 // loaded-then-deleted artifact is simply recomputed on the next miss.
 func (s *Store) GC(maxBytes int64) (removed int, freed int64, err error) {
 	if maxBytes < 0 {
 		return 0, 0, fmt.Errorf("store: negative GC budget %d", maxBytes)
 	}
-	// Sweep debris regardless of the budget. Both temp files and locks
-	// are age-gated: a young .tmp belongs to an in-flight save on
-	// another replica (GC must be safe to run while replicas serve),
-	// and only a crashed writer leaves either past the stale age.
+	// Sweep debris regardless of the budget. Temp files are age-gated:
+	// a young .tmp belongs to an in-flight save on another replica (GC
+	// must be safe to run while replicas serve), and only a crashed
+	// writer leaves one past the stale age.
 	_ = filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return nil
 		}
-		if (strings.HasSuffix(path, tmpExt) || strings.HasSuffix(path, lockExt)) &&
-			olderThan(d, staleLockAge) {
+		if strings.HasSuffix(path, tmpExt) && olderThan(d, staleTmpAge) {
 			_ = os.Remove(path)
 		}
 		return nil

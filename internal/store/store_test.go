@@ -132,7 +132,7 @@ func TestCorruptArtifactRejectedAndRemoved(t *testing.T) {
 	if err := st.SaveRecording(spec, cfg, rec); err != nil {
 		t.Fatal(err)
 	}
-	path := st.recordingPath(spec, cfg)
+	path := st.path(KindRecordings, RecordingKey(spec, cfg))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -156,47 +156,6 @@ func TestCorruptArtifactRejectedAndRemoved(t *testing.T) {
 	}
 	if _, ok := st.LoadRecording(spec, cfg); !ok {
 		t.Fatal("re-persisted recording missed")
-	}
-}
-
-// TestSaveLockContention: a held sidecar lock makes a concurrent save a
-// skip, not an error or a torn write; a stale lock is stolen.
-func TestSaveLockContention(t *testing.T) {
-	dir := t.TempDir()
-	st := Open(dir)
-	spec, cfg := mustSpec(t, "mcf"), testConfig()
-	rec := record(t, spec, cfg)
-
-	path := st.recordingPath(spec, cfg)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	lock := path + lockExt
-	if err := os.WriteFile(lock, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveRecording(spec, cfg, rec); err != nil {
-		t.Fatal(err)
-	}
-	if s := st.Stats(); s.SaveSkips != 1 || s.Saves != 0 {
-		t.Fatalf("stats under contention = %+v", s)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("artifact written despite held lock")
-	}
-	// Age the lock past the steal threshold.
-	old := time.Now().Add(-2 * staleLockAge)
-	if err := os.Chtimes(lock, old, old); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveRecording(spec, cfg, rec); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.LoadRecording(spec, cfg); !ok {
-		t.Fatal("save after lock steal missed")
-	}
-	if _, err := os.Stat(lock); !os.IsNotExist(err) {
-		t.Fatal("stolen lock not released")
 	}
 }
 
@@ -243,7 +202,7 @@ func TestListAndVerify(t *testing.T) {
 		t.Fatalf("verify clean store: bad=%d err=%v", bad, err)
 	}
 	// Damage the profile; verify must flag exactly it.
-	path := st.profilePath(spec, cfg, sim.ProfileOptions{})
+	path := st.path(KindProfiles, ProfileKey(spec, cfg, sim.ProfileOptions{}))
 	b, _ := os.ReadFile(path)
 	b[len(b)-1] ^= 0xFF
 	if err := os.WriteFile(path, b, 0o644); err != nil {
@@ -279,7 +238,7 @@ func TestGC(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Stagger mtimes so GC order is deterministic: mcf oldest.
-		path := st.recordingPath(spec, cfg)
+		path := st.path(KindRecordings, RecordingKey(spec, cfg))
 		ts := time.Now().Add(time.Duration(i-len(specs)) * time.Hour)
 		if err := os.Chtimes(path, ts, ts); err != nil {
 			t.Fatal(err)
@@ -287,15 +246,15 @@ func TestGC(t *testing.T) {
 	}
 	// Debris from a crashed writer (old) and an in-flight save (fresh):
 	// GC must sweep the former and leave the latter alone.
-	oldDebris := filepath.Join(st.versionDir(), "recordings", "junk.rec"+tmpExt)
+	oldDebris := filepath.Join(st.vdir, "recordings", "junk.rec"+tmpExt)
 	if err := os.WriteFile(oldDebris, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stale := time.Now().Add(-2 * staleLockAge)
+	stale := time.Now().Add(-2 * staleTmpAge)
 	if err := os.Chtimes(oldDebris, stale, stale); err != nil {
 		t.Fatal(err)
 	}
-	freshDebris := filepath.Join(st.versionDir(), "recordings", "live.rec"+tmpExt)
+	freshDebris := filepath.Join(st.vdir, "recordings", "live.rec"+tmpExt)
 	if err := os.WriteFile(freshDebris, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
