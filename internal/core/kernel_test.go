@@ -44,20 +44,22 @@ func resultsClose(t *testing.T, got, want *Result, ctx string) {
 	}
 }
 
-// TestKernelMatchesReference is the tentpole's differential test:
-// Kernel.Run (prefix-sum windows, bound contention evaluator, pooled
-// scratch) must reproduce the preserved pre-refactor implementation
-// across the full ablation option matrix.
-func TestKernelMatchesReference(t *testing.T) {
-	set := getSet(t)
-	mixes := [][]string{
-		{"gamess", "lbm", "milc", "libquantum"},
-		{"povray", "namd", "hmmer", "calculix"},
-		{"mcf", "lbm", "gamess", "gobmk"},
-		{"soplex", "soplex"},
-		{"gamess"},
-	}
-	optionMatrix := []Options{
+// referenceMixes are the suite mixes the kernel oracles run: memory-bound,
+// compute-bound and mixed 4-program mixes, a co-run pair and a solo
+// program.
+var referenceMixes = [][]string{
+	{"gamess", "lbm", "milc", "libquantum"},
+	{"povray", "namd", "hmmer", "calculix"},
+	{"mcf", "lbm", "gamess", "gobmk"},
+	{"soplex", "soplex"},
+	{"gamess"},
+}
+
+// referenceOptions is the ablation option matrix the kernel oracles run
+// every mix under: each model switch alone, all of them together, a
+// custom chunk and target, and every contention model.
+func referenceOptions() []Options {
+	opts := []Options{
 		{},
 		{PaperDenominator: true},
 		{ReportAverage: true},
@@ -67,11 +69,21 @@ func TestKernelMatchesReference(t *testing.T) {
 		{ChunkL: 100_000, TargetMultiple: 3},
 	}
 	for _, m := range contention.Models() {
-		optionMatrix = append(optionMatrix, Options{Contention: m})
+		opts = append(opts, Options{Contention: m})
 	}
+	return opts
+}
+
+// TestKernelMatchesReference is the tentpole's differential test:
+// Kernel.Run (prefix-sum windows, bound contention evaluator, pooled
+// scratch) must reproduce the preserved pre-refactor implementation
+// across the full ablation option matrix.
+func TestKernelMatchesReference(t *testing.T) {
+	set := getSet(t)
+	optionMatrix := referenceOptions()
 
 	k := NewKernel() // one kernel across every case: scratch reuse must not leak state
-	for mi, mixNames := range mixes {
+	for mi, mixNames := range referenceMixes {
 		profs := make([]*profile.Profile, len(mixNames))
 		for i, name := range mixNames {
 			p, err := set.Get(name)
