@@ -10,11 +10,12 @@ import (
 )
 
 // Kernel owns every piece of per-run scratch the iterative model needs —
-// slowdown and position vectors, per-program window aggregates (with
-// their SDC backing in one contiguous array), contention inputs and
-// outputs — so a steady-state Run performs no per-iteration allocation
-// and only a handful of small allocations total (the Result and its
-// output slices, which must escape to the caller).
+// slowdown and position vectors, per-program window cursors and
+// aggregates (with their SDC backing in one contiguous array),
+// contention inputs and outputs — so a steady-state Run performs no
+// per-iteration allocation and only a handful of small allocations
+// total: the bound contention evaluator, and the Result with its names
+// and one float array, which must escape to the caller.
 //
 // A Kernel is not safe for concurrent use; the evaluation engine pools
 // kernels so concurrent sweep and service traffic reuses scratch across
@@ -31,6 +32,7 @@ type Kernel struct {
 	extra    []float64 // contention-model output
 	target   []float64 // convergence target in instructions per program
 
+	cursors []profile.Cursor // each program's window start this iteration
 	windows []profile.Window
 	inputs  []contention.Input
 	sdcBack []float64 // one backing array for every window's SDC
@@ -53,6 +55,7 @@ func (k *Kernel) ensure(n, ways int) {
 		k.nProg = make([]float64, n)
 		k.extra = make([]float64, n)
 		k.target = make([]float64, n)
+		k.cursors = make([]profile.Cursor, n)
 		k.windows = make([]profile.Window, n)
 		k.inputs = make([]contention.Input, n)
 	}
@@ -65,6 +68,7 @@ func (k *Kernel) ensure(n, ways int) {
 	k.nProg = k.nProg[:n]
 	k.extra = k.extra[:n]
 	k.target = k.target[:n]
+	k.cursors = k.cursors[:n]
 	k.windows = k.windows[:n]
 	k.inputs = k.inputs[:n]
 
@@ -84,11 +88,11 @@ func (k *Kernel) ensure(n, ways int) {
 // The returned Result is freshly allocated and does not alias kernel
 // state, so it stays valid after the kernel is reused or pooled.
 func (k *Kernel) Run(profiles []*profile.Profile, opts Options) (*Result, error) {
-	m, err := New(profiles, opts)
+	m, err := newModel(profiles, opts)
 	if err != nil {
 		return nil, err
 	}
-	return k.run(m)
+	return k.run(&m)
 }
 
 // done reports whether every program has executed its target multiple of
@@ -145,22 +149,28 @@ func (k *Kernel) run(m *Model) (*Result, error) {
 		return nil, fmt.Errorf("core: contention model: %w", err)
 	}
 
+	// The three per-program float outputs share one backing array; each
+	// is capped so that an append to one cannot overwrite the next.
+	out := make([]float64, 3*n)
 	res := &Result{
 		Benchmarks: make([]string, n),
-		SingleCPI:  make([]float64, n),
+		SingleCPI:  out[0:n:n],
 	}
 	for p, prof := range m.profiles {
 		res.Benchmarks[p] = prof.Meta.Benchmark
-		res.SingleCPI[p] = prof.CPI() / m.scale(p)
+		res.SingleCPI[p] = m.unscale(p, prof.CPI())
 	}
 
 	iter := 0
 	for ; iter < m.opts.MaxIterations && !k.done(); iter++ {
 		// Determine the slowest program over the next L instructions:
-		// highest multi-core CPI = local single-core CPI times R_p.
+		// highest multi-core CPI = local single-core CPI times R_p. Each
+		// program's window start is resolved once, here, and serves all
+		// three of its queries this iteration.
 		C := 0.0
 		for p, prof := range m.profiles {
-			cpi := prof.CPIAt(k.pos[p], L) / m.scale(p)
+			k.cursors[p] = prof.Seek(k.pos[p])
+			cpi := m.unscale(p, prof.CPIFrom(&k.cursors[p], L))
 			k.cpiLocal[p] = cpi
 			if cpi <= 0 {
 				return nil, fmt.Errorf("core: %s has zero CPI window at %v",
@@ -179,7 +189,12 @@ func (k *Kernel) run(m *Model) (*Result, error) {
 			if !k.progressOK(p) {
 				return nil, k.diverged(prof, p, C)
 			}
-			refined := prof.CPIAt(k.pos[p], k.nProg[p]) / m.scale(p)
+			// The slowest program often gets N_p == L back exactly, and
+			// then its refined probe is the one already taken.
+			refined := k.cpiLocal[p]
+			if k.nProg[p] != L {
+				refined = m.unscale(p, prof.CPIFrom(&k.cursors[p], k.nProg[p]))
+			}
 			if refined > 0 {
 				k.nProg[p] = C / (refined * k.r[p])
 			}
@@ -191,7 +206,7 @@ func (k *Kernel) run(m *Model) (*Result, error) {
 		// Accumulate SDCs over each program's window and estimate the
 		// extra conflict misses from sharing.
 		for p, prof := range m.profiles {
-			prof.WindowInto(&k.windows[p], k.pos[p], k.nProg[p])
+			prof.WindowFrom(&k.windows[p], &k.cursors[p], k.nProg[p])
 		}
 		if err := eval.ExtraMissesInto(k.extra, k.inputs); err != nil {
 			return nil, fmt.Errorf("core: contention model: %w", err)
@@ -212,15 +227,15 @@ func (k *Kernel) run(m *Model) (*Result, error) {
 		// average LLC miss penalty over the window, and update R_p.
 		for p := 0; p < n; p++ {
 			w := &k.windows[p]
-			penalty := m.memLat / m.scale(p)
+			penalty := m.unscale(p, m.memLat)
 			if misses := w.LLCMisses(); misses > 1e-9 && w.MemStall > 0 {
-				penalty = w.MemStall / m.scale(p) / misses
+				penalty = m.unscale(p, w.MemStall) / misses
 			}
 			missCycles := k.extra[p] * penalty
 			if s := m.opts.BandwidthOccupancy; s > 0 {
 				// Incremental queueing over what isolated execution (and
 				// thus the measured memory CPI) already contains.
-				isoCycles := w.Cycles / m.scale(p)
+				isoCycles := m.unscale(p, w.Cycles)
 				isoWait := 0.0
 				if isoCycles > 0 {
 					isoWait = queueWait(w.LLCMisses()*s/isoCycles, s)
@@ -232,7 +247,7 @@ func (k *Kernel) run(m *Model) (*Result, error) {
 			denom := C
 			if !m.opts.PaperDenominator {
 				// The program's isolated cycles over its N_p window.
-				denom = w.Cycles / m.scale(p)
+				denom = m.unscale(p, w.Cycles)
 			}
 			rNew := 1 + missCycles/denom
 			k.r[p] = m.opts.Smoothing*k.r[p] + (1-m.opts.Smoothing)*rNew
@@ -253,8 +268,8 @@ func (k *Kernel) run(m *Model) (*Result, error) {
 	}
 
 	res.Iterations = iter
-	res.Slowdown = make([]float64, n)
-	res.MultiCPI = make([]float64, n)
+	res.Slowdown = out[n : 2*n : 2*n]
+	res.MultiCPI = out[2*n : 3*n : 3*n]
 	for p := 0; p < n; p++ {
 		r := k.r[p]
 		if m.opts.ReportAverage && k.avgDen[p] > 0 {

@@ -117,46 +117,55 @@ type Model struct {
 // to co-run copies of the same benchmark). All profiles must have been
 // collected on identical LLC and core configurations.
 func New(profiles []*profile.Profile, opts Options) (*Model, error) {
+	m, err := newModel(profiles, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// newModel is New by value, so Kernel.Run keeps the Model on its stack.
+func newModel(profiles []*profile.Profile, opts Options) (Model, error) {
 	if len(profiles) == 0 {
-		return nil, fmt.Errorf("core: no profiles: %w", mppmerr.ErrNoProfiles)
+		return Model{}, fmt.Errorf("core: no profiles: %w", mppmerr.ErrNoProfiles)
 	}
 	for i, p := range profiles {
 		if p == nil {
-			return nil, fmt.Errorf("core: profile %d is nil", i)
+			return Model{}, fmt.Errorf("core: profile %d is nil", i)
 		}
 		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("core: profile %d: %w", i, err)
+			return Model{}, fmt.Errorf("core: profile %d: %w", i, err)
 		}
 	}
 	ref := profiles[0].Meta
 	for i, p := range profiles {
 		if p.Meta.LLC != ref.LLC {
-			return nil, fmt.Errorf("core: profile %d LLC config %+v differs from %+v",
+			return Model{}, fmt.Errorf("core: profile %d LLC config %+v differs from %+v",
 				i, p.Meta.LLC, ref.LLC)
 		}
 		if p.Meta.CPU != ref.CPU {
-			return nil, fmt.Errorf("core: profile %d CPU params differ", i)
+			return Model{}, fmt.Errorf("core: profile %d CPU params differ", i)
 		}
 	}
 	opts = opts.withDefaults(ref.TraceLength)
 	if opts.Smoothing < 0 || opts.Smoothing >= 1 {
-		return nil, fmt.Errorf("core: smoothing %v outside [0,1)", opts.Smoothing)
+		return Model{}, fmt.Errorf("core: smoothing %v outside [0,1)", opts.Smoothing)
 	}
 	if opts.BandwidthOccupancy < 0 {
-		return nil, fmt.Errorf("core: negative bandwidth occupancy")
+		return Model{}, fmt.Errorf("core: negative bandwidth occupancy")
 	}
 	if opts.FrequencyScale != nil {
 		if len(opts.FrequencyScale) != len(profiles) {
-			return nil, fmt.Errorf("core: %d frequency scales for %d programs",
+			return Model{}, fmt.Errorf("core: %d frequency scales for %d programs",
 				len(opts.FrequencyScale), len(profiles))
 		}
 		for i, s := range opts.FrequencyScale {
 			if !(s > 0) || math.IsInf(s, 1) {
-				return nil, fmt.Errorf("core: frequency scale %v for program %d is not positive and finite", s, i)
+				return Model{}, fmt.Errorf("core: frequency scale %v for program %d is not positive and finite", s, i)
 			}
 		}
 	}
-	return &Model{
+	return Model{
 		profiles: profiles,
 		opts:     opts,
 		ways:     ref.LLC.Ways,
@@ -170,6 +179,15 @@ func (m *Model) scale(p int) float64 {
 		return 1
 	}
 	return m.opts.FrequencyScale[p]
+}
+
+// unscale returns x / scale(p), skipping the division on homogeneous
+// cores, where x/1 is exactly x.
+func (m *Model) unscale(p int, x float64) float64 {
+	if fs := m.opts.FrequencyScale; fs != nil {
+		return x / fs[p]
+	}
+	return x
 }
 
 // Run executes the iterative model (Figure 2) and returns the predicted

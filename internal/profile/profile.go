@@ -79,10 +79,10 @@ func (iv Interval) MemCPI() float64 {
 // Profile is a complete single-core profile for one benchmark.
 //
 // Profiles are treated as immutable once handed to the model layer: the
-// first window lookup builds a prefix-sum index over Intervals (guarded
-// by cumOnce), and every subsequent O(1) window query assumes the
-// interval data has not changed since. Mutating Intervals after first
-// use yields stale windows; derive a new Profile instead.
+// first window lookup or CPI call builds a prefix-sum index over
+// Intervals (guarded by cumOnce), and every subsequent O(1) window query
+// assumes the interval data has not changed since. Mutating Intervals
+// after first use yields stale windows; derive a new Profile instead.
 type Profile struct {
 	Meta      Meta       `json:"meta"`
 	Intervals []Interval `json:"intervals"`
@@ -90,12 +90,16 @@ type Profile struct {
 	// Prefix-sum index, populated lazily by index() and guarded by
 	// cumOnce: profiles are shared read-only across concurrent model
 	// evaluations. cumInstr[i] is the number of instructions before
-	// interval i; cumCycles/cumMemStall/cumLLCAcc are the analogous
+	// interval i, and start[i] the same count as a float64; length[i]
+	// is interval i's instruction count as a float64, so lookups convert
+	// nothing. cumCycles/cumMemStall/cumLLCAcc are the analogous
 	// cumulative float counters; cumSDC is a flattened
 	// (len(Intervals)+1) x (ways+1) matrix whose row i holds the
 	// element-wise sum of the SDCs of intervals [0, i).
 	cumOnce     sync.Once
 	cumInstr    []int64
+	start       []float64
+	length      []float64
 	cumCycles   []float64
 	cumMemStall []float64
 	cumLLCAcc   []float64
@@ -191,13 +195,16 @@ func (p *Profile) TotalCycles() float64 {
 	return c
 }
 
-// CPI returns the whole-trace single-core CPI (CPI_SC in the paper).
+// CPI returns the whole-trace single-core CPI (CPI_SC in the paper). It
+// reads the prefix index's totals, which are the same left-to-right sums
+// TotalCycles and TotalInstructions compute.
 func (p *Profile) CPI() float64 {
-	n := p.TotalInstructions()
-	if n == 0 {
+	cum := p.index()
+	n := len(p.Intervals)
+	if cum[n] == 0 {
 		return 0
 	}
-	return p.TotalCycles() / float64(n)
+	return p.cumCycles[n] / p.start[n]
 }
 
 // MemCPI returns the whole-trace memory CPI component (CPI_mem).
@@ -265,21 +272,29 @@ func (p *Profile) index() []int64 {
 		n := len(p.Intervals)
 		stride := p.Meta.LLC.Ways + 1
 		cum := make([]int64, n+1)
+		start := make([]float64, n+1)
+		length := make([]float64, n)
 		cyc := make([]float64, n+1)
 		mem := make([]float64, n+1)
 		acc := make([]float64, n+1)
 		sdcs := make([]float64, (n+1)*stride)
 		for i, iv := range p.Intervals {
 			cum[i+1] = cum[i] + iv.Instructions
+			start[i+1] = float64(cum[i+1])
+			length[i] = float64(iv.Instructions)
 			cyc[i+1] = cyc[i] + iv.Cycles
 			mem[i+1] = mem[i] + iv.MemStall
 			acc[i+1] = acc[i] + iv.LLCAccesses
 			row, next := sdcs[i*stride:(i+1)*stride], sdcs[(i+1)*stride:(i+2)*stride]
-			for k, v := range iv.SDC {
+			// Only a profile that fails Validate has an SDC of another
+			// width, and CPI reads this index too: clip rather than panic.
+			for k, v := range iv.SDC[:min(len(iv.SDC), stride)] {
 				next[k] = row[k] + v
 			}
 		}
 		p.cumInstr = cum
+		p.start = start
+		p.length = length
 		p.cumCycles = cyc
 		p.cumMemStall = mem
 		p.cumLLCAcc = acc
@@ -299,22 +314,22 @@ func (p *Profile) index() []int64 {
 // emits. Profiles irregular enough to defeat the guess fall back to
 // binary search.
 func (p *Profile) locate(x float64) (int, float64) {
-	cum := p.cumInstr
-	n := len(p.Intervals)
+	start := p.start
+	n := len(p.length)
 	i := int(x * p.invAvg)
 	if i > n-1 {
 		i = n - 1
 	}
 	for steps := 0; steps < 4; steps++ {
-		if float64(cum[i]) > x {
+		if start[i] > x {
 			i--
 			continue
 		}
-		if i+1 < n && float64(cum[i+1]) <= x {
+		if i+1 < n && start[i+1] <= x {
 			i++
 			continue
 		}
-		return i, clampFrac((x - float64(cum[i])) / float64(p.Intervals[i].Instructions))
+		return i, clampFrac((x - start[i]) / p.length[i])
 	}
 	return p.locateSearch(x)
 }
@@ -322,12 +337,12 @@ func (p *Profile) locate(x float64) (int, float64) {
 // locateSearch is locate's binary-search slow path for profiles with
 // irregular interval lengths.
 func (p *Profile) locateSearch(x float64) (int, float64) {
-	n := len(p.Intervals)
-	cum := p.cumInstr
+	n := len(p.length)
+	start := p.start
 	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if float64(cum[mid+1]) > x {
+		if start[mid+1] > x {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -337,7 +352,7 @@ func (p *Profile) locateSearch(x float64) (int, float64) {
 	if i >= n {
 		i = n - 1
 	}
-	return i, clampFrac((x - float64(cum[i])) / float64(p.Intervals[i].Instructions))
+	return i, clampFrac((x - start[i]) / p.length[i])
 }
 
 func clampFrac(f float64) float64 {
@@ -350,25 +365,29 @@ func clampFrac(f float64) float64 {
 	return f
 }
 
-// addSegment accumulates the non-wrapping range [a, b) of the trace
-// (0 <= a <= b <= total instructions) into dst: two prefix-sum lookups
-// plus linear proration of the two boundary intervals.
-func (p *Profile) addSegment(dst *Window, a, b float64) {
-	if b <= a {
+// addSegment accumulates the non-wrapping range [a.pos, b) of the trace
+// (b <= total instructions) into dst: one prefix-sum lookup for b, the
+// one a already holds, plus linear proration of the two boundary
+// intervals.
+func (p *Profile) addSegment(dst *Window, a *Cursor, b float64) {
+	if b <= a.pos {
 		return
 	}
-	ia, fa := p.locate(a)
+	ia, fa := a.i, a.frac
 	ib, fb := p.locate(b)
 	iva, ivb := &p.Intervals[ia], &p.Intervals[ib]
-	dst.Instructions += b - a
+	dst.Instructions += b - a.pos
 	dst.Cycles += nonneg((p.cumCycles[ib] + fb*ivb.Cycles) - (p.cumCycles[ia] + fa*iva.Cycles))
 	dst.MemStall += nonneg((p.cumMemStall[ib] + fb*ivb.MemStall) - (p.cumMemStall[ia] + fa*iva.MemStall))
 	dst.LLCAccesses += nonneg((p.cumLLCAcc[ib] + fb*ivb.LLCAccesses) - (p.cumLLCAcc[ia] + fa*iva.LLCAccesses))
-	stride := len(dst.SDC)
-	rowA := p.cumSDC[ia*stride : (ia+1)*stride]
-	rowB := p.cumSDC[ib*stride : (ib+1)*stride]
-	for k := range dst.SDC {
-		dst.SDC[k] += nonneg((rowB[k] + fb*ivb.SDC[k]) - (rowA[k] + fa*iva.SDC[k]))
+	// Every row below has the window's length, so the loop carries no
+	// bounds checks.
+	sum := dst.SDC
+	stride := len(sum)
+	rowA, rowB := p.cumSDC[ia*stride:][:stride], p.cumSDC[ib*stride:][:stride]
+	sdcA, sdcB := iva.SDC[:stride], ivb.SDC[:stride]
+	for k := range sum {
+		sum[k] += nonneg((rowB[k] + fb*sdcB[k]) - (rowA[k] + fa*sdcA[k]))
 	}
 }
 
@@ -408,28 +427,75 @@ func (w Window) MemCPI() float64 {
 // LLCMisses returns the window's LLC miss count.
 func (w Window) LLCMisses() float64 { return w.SDC.Misses() }
 
+// maxInstructions bounds the positions and lengths the window queries
+// accept: float64 counts instructions exactly only below 2^53, and the
+// lookups turn positions into interval indices.
+const maxInstructions = 1 << 53
+
+// Cursor is a resolved window start: a trace position wrapped into
+// [0, total), the interval that contains it and the fraction of that
+// interval before it. Seek resolves a start once, and CPIFrom and
+// WindowFrom then answer any number of windows from it without wrapping
+// or locating the start again. The zero Cursor is the start of the
+// trace. A Cursor belongs to the profile that made it.
+type Cursor struct {
+	pos  float64 // wrapped position; NaN marks an unusable start
+	i    int     // interval containing pos
+	frac float64 // fraction of interval i before pos
+}
+
+// Seek resolves the window start at absolute trace position pos, which
+// wraps circularly around the trace and may be fractional or negative.
+// A pos that is NaN, infinite or at least 2^53 in magnitude (beyond
+// exact float64 instruction counts) gives a Cursor from which every
+// window is empty and every CPI is 0.
+func (p *Profile) Seek(pos float64) Cursor {
+	if !(math.Abs(pos) < maxInstructions) {
+		return Cursor{pos: math.NaN()}
+	}
+	p.index()
+	pos = modFloat(pos, p.start[len(p.length)])
+	i, frac := p.locate(pos)
+	return Cursor{pos: pos, i: i, frac: frac}
+}
+
+// usable reports whether a window of n instructions from c has a
+// defined value: c came from a finite Seek and n is in (0, 2^53).
+func (c *Cursor) usable(n float64) bool {
+	return n > 0 && n < maxInstructions && c.pos == c.pos
+}
+
 // WindowAt aggregates the profile over n instructions starting at
 // absolute trace position pos. Positions wrap circularly around the
 // trace, matching the model's behaviour of programs restarting their
 // trace (Section 2.2: "faster running programs may iterate over their
-// trace more than five times"). Both pos and n may be fractional.
+// trace more than five times"). Both pos and n may be fractional. The
+// window is empty when n is not in (0, 2^53) or pos is rejected by
+// Seek.
 //
 // WindowAt allocates its result; hot paths should hold a Window and use
-// WindowInto instead.
+// WindowInto or WindowFrom instead.
 func (p *Profile) WindowAt(pos, n float64) Window {
 	var w Window
 	p.WindowInto(&w, pos, n)
 	return w
 }
 
-// WindowInto computes WindowAt(pos, n) into dst, reusing dst's SDC
-// backing storage when it matches the profile's associativity — the
-// zero-steady-state-allocation path of the model kernel. Unlike the
-// historical linear walk (WindowLinear) it runs in O(1) per call via
-// the prefix-sum index: whole-trace wraps are one multiply of the trace
-// totals, and each residual segment is two prefix lookups plus linear
-// proration of its boundary intervals.
+// WindowInto computes WindowAt(pos, n) into dst; see WindowFrom.
 func (p *Profile) WindowInto(dst *Window, pos, n float64) {
+	c := p.Seek(pos)
+	p.WindowFrom(dst, &c, n)
+}
+
+// WindowFrom aggregates the n-instruction window that starts at c into
+// dst, reusing dst's SDC backing storage when it matches the profile's
+// associativity — the zero-steady-state-allocation path of the model
+// kernel. Unlike the historical linear walk (WindowLinear) it runs in
+// O(1) via the prefix-sum index: whole-trace wraps are one multiply of
+// the trace totals, and each residual segment is a prefix lookup for
+// its end plus linear proration of its boundary intervals. The window
+// is empty when n is not in (0, 2^53) or c is unusable (see Seek).
+func (p *Profile) WindowFrom(dst *Window, c *Cursor, n float64) {
 	ways := p.Meta.LLC.Ways
 	if dst.SDC == nil || dst.SDC.Ways() != ways {
 		dst.SDC = sdc.New(ways)
@@ -437,13 +503,12 @@ func (p *Profile) WindowInto(dst *Window, pos, n float64) {
 		dst.SDC.SetZero()
 	}
 	dst.Instructions, dst.Cycles, dst.MemStall, dst.LLCAccesses = 0, 0, 0, 0
-	if n <= 0 {
+	if !c.usable(n) {
 		return
 	}
-	cum := p.index()
-	nIv := len(p.Intervals)
-	total := float64(cum[nIv])
-	pos = modFloat(pos, total)
+	p.index()
+	nIv := len(p.length)
+	total := p.start[nIv]
 
 	// Whole-trace wraps contribute the full-trace totals at once.
 	if wraps := math.Floor(n / total); wraps > 0 {
@@ -458,25 +523,33 @@ func (p *Profile) WindowInto(dst *Window, pos, n float64) {
 			return
 		}
 	}
-	if end := pos + n; end <= total {
-		p.addSegment(dst, pos, end)
+	if end := c.pos + n; end <= total {
+		p.addSegment(dst, c, end)
 	} else {
-		p.addSegment(dst, pos, total)
-		p.addSegment(dst, 0, end-total)
+		var head Cursor
+		p.addSegment(dst, c, total)
+		p.addSegment(dst, &head, end-total)
 	}
 }
 
-// CPIAt returns the local CPI of the n-instruction window at pos — the
-// cycles-only fast path of WindowInto for the model's CPI probes, which
-// touches neither the SDC matrix nor any scratch.
+// CPIAt returns the local CPI of the n-instruction window at pos; see
+// CPIFrom.
 func (p *Profile) CPIAt(pos, n float64) float64 {
-	if n <= 0 {
+	c := p.Seek(pos)
+	return p.CPIFrom(&c, n)
+}
+
+// CPIFrom returns the local CPI of the n-instruction window that starts
+// at c — the cycles-only fast path of WindowFrom for the model's CPI
+// probes, which touches neither the SDC matrix nor any scratch. It is 0
+// when n is not in (0, 2^53) or c is unusable (see Seek).
+func (p *Profile) CPIFrom(c *Cursor, n float64) float64 {
+	if !c.usable(n) {
 		return 0
 	}
-	cum := p.index()
-	nIv := len(p.Intervals)
-	total := float64(cum[nIv])
-	pos = modFloat(pos, total)
+	p.index()
+	nIv := len(p.length)
+	total := p.start[nIv]
 
 	cycles, rem := 0.0, n
 	if wraps := math.Floor(rem / total); wraps > 0 {
@@ -484,25 +557,25 @@ func (p *Profile) CPIAt(pos, n float64) float64 {
 		rem -= wraps * total
 	}
 	if rem > 0 {
-		if end := pos + rem; end <= total {
-			cycles += p.segmentCycles(pos, end)
+		if end := c.pos + rem; end <= total {
+			cycles += p.segmentCycles(c, end)
 		} else {
-			cycles += p.segmentCycles(pos, total) + p.segmentCycles(0, end-total)
+			var head Cursor
+			cycles += p.segmentCycles(c, total) + p.segmentCycles(&head, end-total)
 		}
 	}
 	return cycles / n
 }
 
 // segmentCycles returns the cycle count of the non-wrapping range
-// [a, b) of the trace.
-func (p *Profile) segmentCycles(a, b float64) float64 {
-	if b <= a {
+// [a.pos, b) of the trace.
+func (p *Profile) segmentCycles(a *Cursor, b float64) float64 {
+	if b <= a.pos {
 		return 0
 	}
-	ia, fa := p.locate(a)
 	ib, fb := p.locate(b)
 	return nonneg((p.cumCycles[ib] + fb*p.Intervals[ib].Cycles) -
-		(p.cumCycles[ia] + fa*p.Intervals[ia].Cycles))
+		(p.cumCycles[a.i] + a.frac*p.Intervals[a.i].Cycles))
 }
 
 // WindowLinear is the historical O(intervals) implementation of

@@ -105,6 +105,20 @@ func TestAggregates(t *testing.T) {
 	}
 }
 
+// TestCPIUnvalidated: CPI reads the prefix index, which must still
+// build for a profile that fails validation, such as one whose SDCs
+// have the wrong associativity.
+func TestCPIUnvalidated(t *testing.T) {
+	p := testProfile()
+	p.Intervals[0].SDC = sdc.Counters{1, 2, 3, 4}
+	if err := p.Validate(); err == nil {
+		t.Fatal("wrong-width SDC should fail validation")
+	}
+	if got := p.CPI(); got != 1.5 {
+		t.Fatalf("CPI = %v, want 1.5", got)
+	}
+}
+
 func TestIntervalAccessors(t *testing.T) {
 	iv := testProfile().Intervals[1]
 	if iv.CPI() != 2.0 {
