@@ -48,10 +48,13 @@ race:
 # fleet-smoke is the distributed-fabric correctness gate: three
 # in-process replicas behind a coordinator serve the suite-wide Table 2
 # sweep and the result must be byte-for-byte identical to a single
-# node, including when one replica is killed mid-sweep; a traced sweep
-# must stitch into one complete trace covering every shard.
+# node, including when one replica is killed mid-sweep; each replica
+# that owns a mix gets exactly one sub-request; row 0 reaches the client
+# while its replica still holds the rest; a warm round of concurrent
+# sweeps dials no new replica connection; a traced sweep must stitch
+# into one complete trace covering every shard.
 fleet-smoke:
-	go test -run 'TestFleetByteIdentity|TestFleetFailover|TestFleetErrorParity|TestFleetSelfCoordination|TestFleetTraceStitch' -count 1 -timeout $(TEST_TIMEOUT) -v ./internal/fleet/
+	go test -run 'TestFleetByteIdentity|TestFleetFailover|TestFleetErrorParity|TestFleetSelfCoordination|TestFleetOneShardPerReplica|TestFleetStreamsIncrementally|TestFleetReusesConnections|TestFleetTraceStitch' -count 1 -timeout $(TEST_TIMEOUT) -v ./internal/fleet/
 
 # bench-baseline regenerates $(GATE_BASELINE) at the repo root — the
 # in-tree perf snapshot bench-gate compares against and the CI bench

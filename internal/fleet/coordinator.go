@@ -54,9 +54,10 @@ type Config struct {
 	// DownFor is how long a replica stays out of the ring after its
 	// retries are exhausted; <=0 means 15s.
 	DownFor time.Duration
-	// HTTPClient carries the shard and artifact traffic; nil means
-	// http.DefaultClient. It must not impose an overall request timeout —
-	// shard streams live as long as their slowest scenario.
+	// HTTPClient carries the shard and artifact traffic; nil means a
+	// client of the coordinator's own that keeps MaxInFlight idle
+	// connections per replica. It must not impose an overall request
+	// timeout — shard streams live as long as their slowest scenario.
 	HTTPClient *http.Client
 	// TraceDebug enables the fleet-wide trace stitch endpoint: GET
 	// /v1/debug/traces/{id} pulls every replica's local spans for the
@@ -105,13 +106,22 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.DownFor <= 0 {
 		cfg.DownFor = defaultDownFor
 	}
+	hc := cfg.HTTPClient
+	if hc == nil {
+		// http.DefaultClient keeps only 2 idle connections per host, so
+		// each stream past the second to a replica would dial anew.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = cfg.MaxInFlight
+		tr.MaxIdleConns = cfg.MaxInFlight * ring.Replicas()
+		hc = &http.Client{Transport: tr}
+	}
 	c := &Coordinator{
 		cfg:       cfg,
 		ring:      ring,
 		downUntil: make([]time.Time, ring.Replicas()),
 	}
 	for i := 0; i < ring.Replicas(); i++ {
-		c.clients = append(c.clients, NewClient(ring.Replica(i), cfg.HTTPClient))
+		c.clients = append(c.clients, NewClient(ring.Replica(i), hc))
 		c.sems = append(c.sems, make(chan struct{}, cfg.MaxInFlight))
 	}
 	return c, nil
@@ -215,55 +225,55 @@ func (c *Coordinator) markDown(i int) {
 	}
 }
 
-// evalPlan is one distributed request lowered to shardable units.
+// evalPlan is one distributed request lowered to shardable mixes.
 type evalPlan struct {
 	kind       string
 	contention string
 	mode       responseMode
 	cfgNames   []string
 	mixes      []mppm.Mix
-	mixKeys    []string
 }
 
 func (p *evalPlan) total() int { return len(p.cfgNames) * len(p.mixes) }
 
-// unit is one (config, mix) work item, addressed by grid coordinates.
-type unit struct{ cfg, mix int }
-
-// shard is a contiguous batch of one replica's units on one config —
-// the granularity of a sub-request.
+// shard is one replica's mixes under every config of the request — the
+// granularity of a sub-request, one per replica.
 type shard struct {
 	replica int
-	cfg     int
 	mixIdx  []int // ascending original mix indices
 }
 
-// unitKey is the consistent-hash key of one work unit.
-func (p *evalPlan) unitKey(u unit) string {
-	return p.cfgNames[u.cfg] + "|" + p.mixKeys[u.mix]
+// gridIndex maps the shard's n-th streamed row to its index in the
+// request's config-major grid. /v1/eval streams config-major too, so
+// row n is config n/len(mixIdx) of mix mixIdx[n%len(mixIdx)].
+func (p *evalPlan) gridIndex(sh shard, n int) int {
+	k := len(sh.mixIdx)
+	return (n/k)*len(p.mixes) + sh.mixIdx[n%k]
 }
 
-// planShards assigns units to alive replicas and groups them into
-// per-(replica, config) shards, preserving grid order inside each
-// shard. It fails only when no replica is alive.
-func (c *Coordinator) planShards(p *evalPlan, units []unit) ([]shard, error) {
+// shardKey is a mix's consistent-hash key. It names the mix alone, so
+// every config of a mix lands on the same replica.
+func shardKey(m mppm.Mix) string { return m.Key() }
+
+// planShards assigns mixes to alive replicas, one shard per replica
+// that owns any, preserving mix order inside each shard. It fails only
+// when no replica is alive.
+func (c *Coordinator) planShards(p *evalPlan, mixIdx []int) ([]shard, error) {
 	now := time.Now()
 	alive := func(i int) bool { return c.alive(i, now) }
-	idx := make(map[[2]int]int) // (replica, cfg) -> shard slot
-	var shards []shard
-	for _, u := range units {
-		owner := c.ring.Owner(p.unitKey(u), alive)
+	owned := make([][]int, c.ring.Replicas())
+	for _, m := range mixIdx {
+		owner := c.ring.Owner(shardKey(p.mixes[m]), alive)
 		if owner < 0 {
-			return nil, fmt.Errorf("fleet: no alive replicas for %s", p.unitKey(u))
+			return nil, fmt.Errorf("fleet: no alive replicas for %s", p.mixes[m].Key())
 		}
-		k := [2]int{owner, u.cfg}
-		s, ok := idx[k]
-		if !ok {
-			s = len(shards)
-			idx[k] = s
-			shards = append(shards, shard{replica: owner, cfg: u.cfg})
+		owned[owner] = append(owned[owner], m)
+	}
+	var shards []shard
+	for r, ms := range owned {
+		if len(ms) > 0 {
+			shards = append(shards, shard{replica: r, mixIdx: ms})
 		}
-		shards[s].mixIdx = append(shards[s].mixIdx, u.mix)
 	}
 	return shards, nil
 }
@@ -298,8 +308,8 @@ func negotiateMode(req *service.EvalRequest, r *http.Request) (responseMode, boo
 // shardHeader marks a sub-request already sharded by a coordinator. In
 // production every replica runs a coordinator and sits in its own ring,
 // so a self-addressed shard arrives back at the coordinator that sent
-// it; without the marker it would be re-sharded — and a single-unit
-// shard owned by this replica would recurse forever. Marked requests go
+// it; without the marker it would be re-sharded — and a shard whose
+// mixes this replica owns would recurse forever. Marked requests go
 // straight to the local handler.
 const shardHeader = "Mppm-Fleet-Shard"
 
@@ -358,9 +368,6 @@ func (c *Coordinator) HandleEval(w http.ResponseWriter, r *http.Request, local h
 		p.cfgNames = []string{c.cfg.DefaultConfig}
 	}
 	p.mixes = mreq.Mixes
-	for _, m := range p.mixes {
-		p.mixKeys = append(p.mixKeys, m.Key())
-	}
 	// The fan-out path bypasses the service middleware, so the
 	// coordinator stamps request identity itself: the request ID, and —
 	// when sampled — the "fleet.eval" root span whose context every
@@ -383,20 +390,26 @@ func (c *Coordinator) HandleEval(w http.ResponseWriter, r *http.Request, local h
 
 // run distributes the planned request and merges the shard streams.
 func (c *Coordinator) run(w http.ResponseWriter, r *http.Request, p *evalPlan) {
-	units := make([]unit, 0, p.total())
-	for cf := range p.cfgNames {
-		for m := range p.mixes {
-			units = append(units, unit{cfg: cf, mix: m})
-		}
+	all := make([]int, len(p.mixes))
+	for m := range all {
+		all[m] = m
 	}
-	shards, err := c.planShards(p, units)
+	shards, err := c.planShards(p, all)
 	if err != nil {
 		writeJSONError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 
+	// ctx carries the shard streams: it ends when the client leaves or a
+	// fatal error stops the merge. needed also ends once every row is
+	// merged. That stops whatever still works for rows (a semaphore wait,
+	// a backoff, a straggler retry re-sending merged rows) but not the
+	// streams that are only reading their end, so their connections go
+	// back to the pool instead of being torn down.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
+	needed, merged := context.WithCancel(ctx)
+	defer merged()
 	var msp *obs.Span
 	if obs.TraceSampled(ctx) {
 		// The merge span measures the whole fan-out/reorder/emit phase;
@@ -419,24 +432,20 @@ func (c *Coordinator) run(w http.ResponseWriter, r *http.Request, p *evalPlan) {
 	var dispatch func(sh shard)
 	dispatch = func(sh shard) {
 		defer wg.Done()
-		err := c.runShard(ctx, p, sh, rows)
-		if err == nil || ctx.Err() != nil {
+		err := c.runShard(ctx, needed, p, sh, rows)
+		if err == nil || needed.Err() != nil {
 			return
 		}
 		// The owner exhausted its retries: take it out of the ring and
-		// re-hash its units onto the survivors.
+		// re-hash its mixes onto the survivors.
 		c.markDown(sh.replica)
 		obs.FleetShardFailoversTotal.Inc()
 		if obs.Fleet.Enabled(obs.LevelInfo) {
 			obs.Fleet.Log(ctx, obs.LevelInfo, "shard failing over",
 				"replica", c.clients[sh.replica].Base(),
-				"config", p.cfgNames[sh.cfg], "units", len(sh.mixIdx), "err", err)
+				"configs", len(p.cfgNames), "mixes", len(sh.mixIdx), "err", err)
 		}
-		redo := make([]unit, 0, len(sh.mixIdx))
-		for _, m := range sh.mixIdx {
-			redo = append(redo, unit{cfg: sh.cfg, mix: m})
-		}
-		next, err := c.planShards(p, redo)
+		next, err := c.planShards(p, sh.mixIdx)
 		if err != nil {
 			reportFatal(err)
 			return
@@ -501,42 +510,48 @@ func (c *Coordinator) run(w http.ResponseWriter, r *http.Request, p *evalPlan) {
 			}
 		}
 	}
-	cancel() // release any straggler retries still re-sending merged rows
+	merged()
+	for range rows {
+		// Wait for the shards to finish their streams; rows still arriving
+		// are duplicates.
+	}
 	em.finish()
 }
 
 // runShard streams one shard off its replica, retrying with jittered
 // exponential backoff. It returns nil only after the shard's full row
 // count arrived; anything else — transport failure, error status, a
-// stream-level error line, a short stream — fails the attempt.
-func (c *Coordinator) runShard(ctx context.Context, p *evalPlan, sh shard, rows chan<- rowMsg) error {
+// stream-level error line, a short stream — fails the attempt. The
+// streams run on ctx; everything else stops once needed is done.
+func (c *Coordinator) runShard(ctx, needed context.Context, p *evalPlan, sh shard, rows chan<- rowMsg) error {
 	select {
 	case c.sems[sh.replica] <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
+	case <-needed.Done():
+		return needed.Err()
 	}
 	defer func() { <-c.sems[sh.replica] }()
 
 	cl := c.clients[sh.replica]
 	sub := service.EvalRequest{
 		Kind:       p.kind,
-		Configs:    []string{p.cfgNames[sh.cfg]},
+		Configs:    p.cfgNames,
 		Contention: p.contention,
 		Stream:     true,
 	}
 	for _, m := range sh.mixIdx {
 		sub.Mixes = append(sub.Mixes, []string(p.mixes[m]))
 	}
+	want := len(p.cfgNames) * len(sh.mixIdx)
 
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			obs.FleetShardRetriesTotal.Inc()
-			if !sleepJittered(ctx, c.cfg.RetryBackoff<<(attempt-1)) {
-				return ctx.Err()
+			if !sleepJittered(needed, c.cfg.RetryBackoff<<(attempt-1)) {
+				return needed.Err()
 			}
 		}
-		if err := cl.Check(ctx); err != nil {
+		if err := cl.Check(needed); err != nil {
 			lastErr = err
 			if cl.Refused() {
 				return err // version skew is permanent; go straight to failover
@@ -546,8 +561,8 @@ func (c *Coordinator) runShard(ctx context.Context, p *evalPlan, sh shard, rows 
 		obs.FleetShardsDispatchedTotal.Inc()
 		if obs.Fleet.Enabled(obs.LevelDebug) {
 			obs.Fleet.Log(ctx, obs.LevelDebug, "shard dispatched",
-				"replica", cl.Base(), "config", p.cfgNames[sh.cfg],
-				"units", len(sh.mixIdx), "attempt", attempt)
+				"replica", cl.Base(), "configs", len(p.cfgNames),
+				"mixes", len(sh.mixIdx), "attempt", attempt)
 		}
 		// Each attempt is its own "fleet.shard" span: the replica-side
 		// server span becomes its child through the traceparent header,
@@ -557,35 +572,43 @@ func (c *Coordinator) runShard(ctx context.Context, p *evalPlan, sh shard, rows 
 		if obs.TraceSampled(ctx) {
 			attemptCtx, ssp = obs.StartSpan(ctx, obs.Fleet, "fleet.shard")
 			ssp.SetAttr("replica", cl.Base())
-			ssp.SetAttr("config", p.cfgNames[sh.cfg])
-			ssp.SetAttr("units", strconv.Itoa(len(sh.mixIdx)))
+			ssp.SetAttr("configs", strconv.Itoa(len(p.cfgNames)))
+			ssp.SetAttr("mixes", strconv.Itoa(len(sh.mixIdx)))
 			ssp.SetAttr("attempt", strconv.Itoa(attempt))
 		}
+		// The attempt follows needed until it hands over its last row;
+		// after that it only reads its stream's end.
+		attemptCtx, stop := context.WithCancel(attemptCtx)
+		release := context.AfterFunc(needed, stop)
 		n := 0
 		err := cl.StreamEval(attemptCtx, sub, func(sc *service.ScenarioResult) error {
-			if n >= len(sh.mixIdx) {
+			if n >= want {
 				return fmt.Errorf("fleet: replica %s sent more rows than the shard holds", cl.Base())
 			}
-			idx := sh.cfg*len(p.mixes) + sh.mixIdx[n]
-			n++
+			idx := p.gridIndex(sh, n)
+			if n++; n == want {
+				release()
+			}
 			select {
 			case rows <- rowMsg{idx: idx, sc: sc}:
 				return nil
-			case <-ctx.Done():
-				return ctx.Err()
+			case <-attemptCtx.Done():
+				return attemptCtx.Err()
 			}
 		})
-		if err == nil && n == len(sh.mixIdx) {
+		release()
+		stop()
+		if err == nil && n == want {
 			ssp.End()
 			return nil
 		}
 		if err == nil {
 			err = fmt.Errorf("fleet: replica %s closed the stream after %d of %d rows",
-				cl.Base(), n, len(sh.mixIdx))
+				cl.Base(), n, want)
 		}
 		ssp.EndErr(err)
-		if ctx.Err() != nil {
-			return ctx.Err()
+		if needed.Err() != nil {
+			return needed.Err()
 		}
 		lastErr = err
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -134,10 +135,41 @@ func TestRing(t *testing.T) {
 	}
 }
 
+// TestRingBalance: every replica's share of the ring stays near 1/n for
+// peers that differ only in their port, the shape of a loopback fleet.
+// Without the finalizer in hash64 a replica's virtual nodes clump
+// together and one replica of two can own 99.5% of the ring.
+func TestRingBalance(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		for port := 30000; port < 40000; port += 37 {
+			var peers []string
+			for i := 0; i < n; i++ {
+				peers = append(peers, fmt.Sprintf("http://127.0.0.1:%d", port+7*i))
+			}
+			r, err := NewRing(peers, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			share := make([]float64, n)
+			for i, p := range r.points {
+				prev := r.points[(i+len(r.points)-1)%len(r.points)].hash
+				share[p.replica] += float64(p.hash-prev) / (1 << 64)
+			}
+			for i, sh := range share {
+				if sh < 0.5/float64(n) || sh > 1.5/float64(n) {
+					t.Fatalf("%v: replica %d owns %.3f of the ring, want within 50%% of %.3f",
+						peers, i, sh, 1/float64(n))
+				}
+			}
+		}
+	}
+}
+
 // newTestFleet stands up n replicas plus a coordinator mounted over the
 // first replica's handler, the way cmd/mppmd composes them.
-func newTestFleet(t testing.TB, n int, cfg Config) (coord *httptest.Server, replicas []*httptest.Server) {
+func newTestFleet(t testing.TB, n int, cfg Config) (coord *httptest.Server, c *Coordinator) {
 	t.Helper()
+	var replicas []*httptest.Server
 	for i := 0; i < n; i++ {
 		ts, _ := newReplica(t, "")
 		replicas = append(replicas, ts)
@@ -149,7 +181,13 @@ func newTestFleet(t testing.TB, n int, cfg Config) (coord *httptest.Server, repl
 	}
 	coord = httptest.NewServer(c.Mount(replicas[0].Config.Handler))
 	t.Cleanup(coord.Close)
-	return coord, replicas
+	return coord, c
+}
+
+// owner names the replica the coordinator hands mix to while every
+// replica is alive.
+func owner(c *Coordinator, mix []string) int {
+	return c.ring.Owner(shardKey(mppm.Mix(mix)), nil)
 }
 
 // TestFleetByteIdentity is the differential oracle of the tentpole: a
@@ -193,6 +231,160 @@ func TestFleetByteIdentity(t *testing.T) {
 	if wantRows := len(suiteMixes()) * 6; rows != wantRows {
 		t.Fatalf("%d streamed rows, want %d", rows, wantRows)
 	}
+}
+
+// TestFleetOneShardPerReplica: the coordinator sends each replica that
+// owns a mix exactly one sub-request, its mixes under every config, and
+// the merged response stays byte-identical to a single node in every
+// response mode — for the suite sweep, and for a single mix that only
+// one replica can serve.
+func TestFleetOneShardPerReplica(t *testing.T) {
+	single, _ := newReplica(t, "")
+	coord, c := newTestFleet(t, 3, Config{})
+
+	for _, tc := range []struct {
+		name  string
+		mixes [][]string
+	}{
+		{"suite", suiteMixes()},
+		{"one-mix", suiteMixes()[:1]},
+	} {
+		owners := make(map[int]bool)
+		for _, m := range tc.mixes {
+			owners[owner(c, m)] = true
+		}
+		for _, mode := range []map[string]any{{}, {"stream": true}, {"format": "wire"}} {
+			req := map[string]any{"mixes": tc.mixes, "configs": allConfigNames()}
+			for k, v := range mode {
+				req[k] = v
+			}
+			_, want := postRaw(t, single.URL+"/v1/eval", req)
+			before := obs.FleetShardsDispatchedTotal.Value()
+			resp, got := postRaw(t, coord.URL+"/v1/eval", req)
+			dispatched := obs.FleetShardsDispatchedTotal.Value() - before
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %v: status %d: %s", tc.name, mode, resp.StatusCode, got)
+			}
+			if dispatched != uint64(len(owners)) {
+				t.Fatalf("%s %v: %d shards dispatched, want one per owning replica (%d)",
+					tc.name, mode, dispatched, len(owners))
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s %v: fleet response differs from single node (%d vs %d bytes)",
+					tc.name, mode, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestFleetReusesConnections: the coordinator keeps enough idle
+// connections to every replica for MaxInFlight concurrent streams, and
+// lets each stream read its end before the response completes, so once
+// a round of concurrent sweeps has warmed the pool the next round dials
+// nothing. Replicas hold the warm-up round's streams until all of them
+// have arrived, so that round really opens MaxInFlight connections to
+// each replica.
+func TestFleetReusesConnections(t *testing.T) {
+	const n, concurrent = 3, defaultMaxInFlight
+	var dialed atomic.Int64
+	var peers []string
+	var holds []*heldReplica
+	for i := 0; i < n; i++ {
+		sys := mppm.NewSystem(mppm.DefaultLLC(), mppm.WithScale(testTraceLen, testInterval))
+		h := &heldReplica{h: service.New(sys).Handler(), want: concurrent, full: make(chan struct{})}
+		ts := httptest.NewUnstartedServer(h)
+		ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				dialed.Add(1)
+			}
+		}
+		ts.Start()
+		t.Cleanup(ts.Close)
+		holds, peers = append(holds, h), append(peers, ts.URL)
+	}
+	c, err := New(Config{Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := httptest.NewServer(c.Mount(http.NotFoundHandler()))
+	t.Cleanup(coord.Close)
+
+	mixes := suiteMixes()
+	for _, m := range mixes {
+		holds[owner(c, m)].owns = true
+	}
+	for i, h := range holds {
+		if !h.owns {
+			t.Fatalf("replica %d owns no mix; it would hold nothing", i)
+		}
+	}
+	body, err := json.Marshal(map[string]any{"mixes": mixes, "configs": allConfigNames()[:2], "format": "wire"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		t.Helper()
+		var wg sync.WaitGroup
+		bodies := make([][]byte, concurrent)
+		for i := range bodies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(coord.URL+"/v1/eval", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				got, err := io.ReadAll(resp.Body)
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d, err %v: %s", resp.StatusCode, err, got)
+				}
+				bodies[i] = got
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		for i := range bodies {
+			if !bytes.Equal(bodies[i], bodies[0]) {
+				t.Fatalf("concurrent sweep %d answered differently from sweep 0", i)
+			}
+		}
+	}
+	round()
+	warm := dialed.Load()
+	round()
+	if d := dialed.Load() - warm; d != 0 {
+		t.Fatalf("a warm round of %d concurrent sweeps opened %d new replica connections (warm-up opened %d)",
+			concurrent, d, warm)
+	}
+}
+
+// heldReplica proxies a replica handler and holds each eval request
+// until want of them are in flight at once, then serves every one.
+type heldReplica struct {
+	h    http.Handler
+	owns bool
+	want int64
+	n    atomic.Int64
+	full chan struct{}
+	once sync.Once
+}
+
+func (h *heldReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/eval" {
+		if h.n.Add(1) == h.want {
+			h.once.Do(func() { close(h.full) })
+		}
+		select {
+		case <-h.full:
+		case <-r.Context().Done():
+			return
+		}
+	}
+	h.h.ServeHTTP(w, r)
 }
 
 // TestFleetErrorParity: requests the fleet can't or shouldn't
@@ -328,18 +520,16 @@ func TestFleetFailover(t *testing.T) {
 
 	mixes := suiteMixes()
 	cfgNames := allConfigNames()
-
-	// Arm the replica owning the most work units, so the kill is
-	// guaranteed to strand shards mid-sweep.
-	ring, err := NewRing(peers, 0)
+	c, err := New(Config{Peers: peers, Retries: 1, RetryBackoff: 5_000_000 /* 5ms */})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// Arm the replica owning the most rows, so the kill is guaranteed to
+	// strand part of its shard mid-sweep.
 	owned := make([]int, 3)
-	for _, cn := range cfgNames {
-		for _, m := range mixes {
-			owned[ring.Owner(cn+"|"+strings.Join(m, "|"), nil)]++
-		}
+	for _, m := range mixes {
+		owned[owner(c, m)] += len(cfgNames)
 	}
 	victim := 0
 	for i, n := range owned {
@@ -348,14 +538,10 @@ func TestFleetFailover(t *testing.T) {
 		}
 	}
 	if owned[victim] < 4 {
-		t.Fatalf("victim replica owns only %d units: %v", owned[victim], owned)
+		t.Fatalf("victim replica owns only %d rows: %v", owned[victim], owned)
 	}
 	victims[victim].killAfter = 3
 
-	c, err := New(Config{Peers: peers, Retries: 1, RetryBackoff: 5_000_000 /* 5ms */})
-	if err != nil {
-		t.Fatal(err)
-	}
 	coord := httptest.NewServer(c.Mount(servers[0].Config.Handler))
 	t.Cleanup(coord.Close)
 
@@ -581,7 +767,7 @@ func (s *switchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // peer set, so each is in its own ring and shard sub-requests addressed
 // to the coordinating replica arrive back at its own coordinator. Those
 // must be served locally, not re-sharded — before the shard marker
-// header existed, a self-owned unit recursed through the coordinator
+// header existed, a self-owned shard recursed through the coordinator
 // forever and the request never completed.
 func TestFleetSelfCoordination(t *testing.T) {
 	const n = 3
@@ -615,20 +801,17 @@ func TestFleetSelfCoordination(t *testing.T) {
 	configs := allConfigNames()[:2]
 
 	// The failure mode only triggers when the entry replica owns at
-	// least one unit; with this grid the odds of it owning none are
-	// (2/3)^(len(mixes)*2) — vanishingly small, but assert it anyway so
-	// a silent miss can't weaken the test.
+	// least one mix; with this grid the odds of it owning none are
+	// (2/3)^len(mixes) — vanishingly small, but assert it anyway so a
+	// silent miss can't weaken the test.
 	self := 0
-	for _, cfg := range configs {
-		for _, m := range mixes {
-			key := cfg + "|" + strings.Join(m, "|")
-			if coord0.ring.Owner(key, func(int) bool { return true }) == 0 {
-				self++
-			}
+	for _, m := range mixes {
+		if owner(coord0, m) == 0 {
+			self++
 		}
 	}
 	if self == 0 {
-		t.Fatalf("entry replica owns no units; grid cannot exercise self-coordination")
+		t.Fatalf("entry replica owns no mixes; grid cannot exercise self-coordination")
 	}
 
 	single, _ := newReplica(t, "")
@@ -850,16 +1033,12 @@ func TestFleetStreamsIncrementally(t *testing.T) {
 		gates, servers, peers = append(gates, g), append(servers, ts), append(peers, ts.URL)
 	}
 	mixes := suiteMixes()[:8]
-	ring, err := NewRing(peers, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := gates[ring.Owner("config#1|"+strings.Join(mixes[0], "|"), nil)]
-	gate.armed.Store(true)
 	c, err := New(Config{Peers: peers})
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate := gates[owner(c, mixes[0])]
+	gate.armed.Store(true)
 	coord := httptest.NewServer(c.Mount(servers[0].Config.Handler))
 	t.Cleanup(coord.Close)
 

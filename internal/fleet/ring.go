@@ -1,12 +1,16 @@
 // Package fleet shards evaluation work across a set of mppmd replicas.
 //
-// The coordinator consistent-hash-shards the (mix, config) work units
-// of one /v1/eval request across the fleet, fans the shards out as
-// streaming sub-requests (binary wire streams, or NDJSON to a peer on
-// another wire version), and merges the per-shard ordered rows
-// back into one deterministic response through a reorder buffer — the
-// merged output is byte-identical to what a single replica would have
-// produced for the whole request. A dead replica's shards are re-hashed
+// The coordinator consistent-hash-shards the mixes of one /v1/eval
+// request across the fleet — the ring is keyed by the mix alone, so
+// every config of a mix lands on the same replica — and sends each
+// replica that owns any mix one streaming sub-request: its mixes under
+// all of the request's configs (a binary wire stream, or NDJSON to a
+// peer on another wire version). Replicas stream rows config-major, so
+// the coordinator maps each shard row back to its grid index and merges
+// the streams into one deterministic response through a reorder buffer
+// — the merged output is byte-identical to what a single replica would
+// have produced for the whole request. A request with fewer mixes than
+// replicas uses fewer replicas. A dead replica's mixes are re-hashed
 // onto the survivors; retried rows are suppressed by index, which is
 // safe because evaluation is deterministic.
 //
@@ -111,10 +115,20 @@ func (r *Ring) Owner(key string, alive func(int) bool) int {
 	return -1
 }
 
-// hash64 is FNV-1a 64 — fast, dependency-free and stable across
-// processes, which is all a work-placement hash needs.
+// hash64 is FNV-1a 64 run through the murmur3 64-bit finalizer: fast,
+// dependency-free and stable across processes, which is all a
+// work-placement hash needs. FNV-1a alone barely moves the high bits
+// when only the last bytes of a key differ: a replica's virtual nodes
+// ("url#0", "url#1", ...) would fall into a few tight clumps, and one
+// replica of two can then own 99.5% of the ring.
 func hash64(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
+	f := fnv.New64a()
+	_, _ = f.Write([]byte(s))
+	h := f.Sum64()
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
