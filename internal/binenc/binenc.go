@@ -3,8 +3,12 @@
 // (internal/store/codec) and the eval wire protocol (internal/wire).
 // Both formats follow the same idiom — little-endian fixed-width
 // integers, varint/zigzag-varint columns, float64s as raw IEEE bits,
-// length-prefixed strings, trailing crc64-ECMA — so the append-only
-// encoder and the sticky-error bounds-checked decoder live here once.
+// length-prefixed strings — so the append-only encoder and the
+// sticky-error bounds-checked decoder live here once. The crc64-ECMA
+// checksum (CRCTable, AppendChecksum) is the wire stream's alone: the
+// artifact codec seals its files with CRC-32C, which is an order of
+// magnitude faster over whole files, while the wire protocol keeps
+// crc64 because changing it would be a protocol version bump.
 package binenc
 
 import (
@@ -23,8 +27,7 @@ const MaxStringLen = 1 << 12
 // caller does not install its own (Dec.Sentinel).
 var ErrCorrupt = errors.New("binenc: corrupt data")
 
-// CRCTable is the crc64-ECMA table every format's trailing checksum
-// uses.
+// CRCTable is the crc64-ECMA table of the wire protocol's checksums.
 var CRCTable = crc64.MakeTable(crc64.ECMA)
 
 // AppendChecksum seals an encoded buffer with its trailing crc64.

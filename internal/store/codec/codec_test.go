@@ -2,12 +2,17 @@ package codec
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc64"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/profile"
+	"repro/internal/sdc"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -245,6 +250,178 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			t.Fatal("trailing garbage decoded")
 		}
 	})
+	t.Run("cut inside trailer", func(t *testing.T) {
+		for n := len(b) - trailerLen + 1; n < len(b); n++ {
+			if _, _, err := DecodeRecording(b[:n]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("cut to %d of %d bytes: %v, want ErrCorrupt", n, len(b), err)
+			}
+		}
+	})
+	t.Run("format v1", func(t *testing.T) {
+		if _, _, err := DecodeRecording(v1File(b)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("v1 file error = %v, want ErrVersion", err)
+		}
+	})
+}
+
+// v1File rewrites an encoded artifact the way format version 1 sealed
+// it: version field 1 and a trailing crc64-ECMA (uint64 LE).
+func v1File(b []byte) []byte {
+	v1 := append([]byte(nil), b[:len(b)-trailerLen]...)
+	binary.LittleEndian.PutUint16(v1[4:6], 1)
+	return binary.LittleEndian.AppendUint64(v1, crc64.Checksum(v1, crc64.MakeTable(crc64.ECMA)))
+}
+
+// wantDamageErr is the error a decode must return once an artifact's
+// bytes have changed from offset lo on: the magic is checked first,
+// then the version, then the checksum.
+func wantDamageErr(lo int) error {
+	if lo < 4 {
+		return ErrCorrupt
+	}
+	if lo < 6 {
+		return ErrVersion
+	}
+	return ErrCorrupt
+}
+
+// checkDamage applies every single-bit flip and one full-width 32-bit
+// burst at each of the byte offsets offs to b in place, restoring b after each, and
+// requires decode to reject every damaged copy with the error
+// wantDamageErr names. CRC-32C detects every single-bit error and every
+// burst of up to 32 bits, so no damage of either shape may decode.
+func checkDamage(t *testing.T, b []byte, offs []int, decode func([]byte) (bool, error)) {
+	t.Helper()
+	try := func(off int, what string) {
+		t.Helper()
+		ok, err := decode(b)
+		if want := wantDamageErr(off); ok || !errors.Is(err, want) {
+			t.Fatalf("%s: decoded=%v err=%v, want %v", what, ok, err, want)
+		}
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, off := range offs {
+		for bit := 0; bit < 8; bit++ {
+			b[off] ^= 1 << bit
+			try(off, fmt.Sprintf("bit %d of byte %d", bit, off))
+			b[off] ^= 1 << bit
+		}
+		if off+4 > len(b) {
+			continue
+		}
+		// A burst spanning all 32 bits: the first bit of byte off and
+		// the last of byte off+3 always flip, the ones between at random.
+		burst := rng.Uint32() | 1 | 1<<31
+		flip := func() {
+			for k := 0; k < 4; k++ {
+				b[off+k] ^= byte(burst >> (8 * k))
+			}
+		}
+		flip()
+		try(off, fmt.Sprintf("burst %#08x at byte %d", burst, off))
+		flip()
+	}
+}
+
+// TestChecksumCatchesDamage pins the trailer's detection guarantee on
+// both artifact kinds: every single-bit flip, and one full-width 32-bit
+// burst per byte offset, of a whole profile and of a recording's header
+// plus a strided sample of its payload must fail to decode with ErrCorrupt, or ErrVersion when
+// the damage reaches the version field but not the magic.
+func TestChecksumCatchesDamage(t *testing.T) {
+	rec := testRecording(t)
+	p, err := rec.Replay(context.Background(), testConfig(t), sim.ProfileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("profile", func(t *testing.T) {
+		b := EncodeProfile(p, 7)
+		offs := make([]int, len(b))
+		for i := range offs {
+			offs[i] = i
+		}
+		checkDamage(t, b, offs, func(b []byte) (bool, error) {
+			got, _, err := DecodeProfile(b)
+			return got != nil, err
+		})
+	})
+	t.Run("recording", func(t *testing.T) {
+		b := EncodeRecording(rec, 7)
+		var offs []int
+		const header, stride = 256, 97
+		for i := 0; i < len(b); i++ {
+			if i < header || i%stride == 0 || i >= len(b)-2*trailerLen {
+				offs = append(offs, i)
+			}
+		}
+		checkDamage(t, b, offs, func(b []byte) (bool, error) {
+			got, _, err := DecodeRecording(b)
+			return got != nil, err
+		})
+	})
+}
+
+// TestDecodeProfileAllocs pins the decoded profile's shape: one SDC
+// backing array per profile, so a decode's allocation count does not
+// grow with the interval count, and each interval's SDC is capped at
+// its own buckets, so appending to one interval's SDC never overwrites
+// the next one's.
+func TestDecodeProfileAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		b := EncodeProfile(syntheticProfile(n, 16), 7)
+		if _, _, err := DecodeProfile(b); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := DecodeProfile(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a20, a200 := allocs(20), allocs(200); a20 != a200 {
+		t.Errorf("DecodeProfile allocs: %v for 20 intervals, %v for 200", a20, a200)
+	}
+
+	p, _, err := DecodeProfile(EncodeProfile(syntheticProfile(3, 4), 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := append(sdc.Counters(nil), p.Intervals[1].SDC...)
+	if grown := append(p.Intervals[0].SDC, 99); &grown[0] == &p.Intervals[0].SDC[0] {
+		t.Fatal("appending to interval 0's SDC grew it in place")
+	}
+	for k, v := range p.Intervals[1].SDC {
+		if v != next[k] {
+			t.Fatalf("appending to interval 0's SDC changed interval 1's SDC[%d]: %v, was %v", k, v, next[k])
+		}
+	}
+}
+
+// syntheticProfile builds a valid n-interval profile over a ways-way
+// LLC with distinct values in every counter.
+func syntheticProfile(n, ways int) *profile.Profile {
+	llc := cache.LLCConfigs()[0]
+	llc.Ways = ways
+	p := &profile.Profile{Meta: profile.Meta{
+		Benchmark:      "synthetic",
+		TraceLength:    int64(n) * 1000,
+		IntervalLength: 1000,
+		LLC:            llc,
+	}}
+	for i := 0; i < n; i++ {
+		counters := make(sdc.Counters, ways+1)
+		for k := range counters {
+			counters[k] = float64(i*(ways+1) + k)
+		}
+		p.Intervals = append(p.Intervals, profile.Interval{
+			Instructions: 1000,
+			Cycles:       float64(2000 + i),
+			MemStall:     float64(300 + i),
+			LLCAccesses:  float64(40 + i),
+			SDC:          counters,
+		})
+	}
+	return p
 }
 
 // TestSpecHashSensitivity: the hash must move when any stream-shaping
@@ -276,7 +453,9 @@ func TestSpecHashSensitivity(t *testing.T) {
 // must never panic, and any input that decodes cleanly must re-encode
 // and re-decode to the same artifact (the round-trip property `mppm
 // cache verify` relies on). Seeds cover both kinds plus pre-damaged
-// variants of each.
+// variants of each: cut in half, cut inside the 4-byte trailer, a bit
+// flip, version skew, and the same artifact as format version 1 sealed
+// it, with an 8-byte crc64 trailer.
 func FuzzCodecRoundTrip(f *testing.F) {
 	cfg := sim.DefaultConfig(cache.LLCConfigs()[0])
 	cfg.TraceLength = 50_000
@@ -306,6 +485,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		skew := append([]byte(nil), seed...)
 		skew[4] ^= 0xFF
 		f.Add(skew)
+		f.Add(append([]byte(nil), seed[:len(seed)-trailerLen/2]...))
+		f.Add(v1File(seed))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

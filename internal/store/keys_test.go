@@ -32,8 +32,10 @@ func fmtProfileIdentity(specHash uint64, cfg sim.Config, opts sim.ProfileOptions
 // bandwidth occupancy and PerfectLLC. A changed key orphans every
 // existing store and splits mixed-version fleets, so it must come with
 // a codec.FormatVersion or sim.OutputGeneration bump, never silently.
+// Keys never include the format version (it names the directory, not
+// the key), so a codec bump re-confirms every key here unchanged.
 func TestKeysStable(t *testing.T) {
-	if codec.FormatVersion != 1 || sim.OutputGeneration != 1 {
+	if codec.FormatVersion != 2 || sim.OutputGeneration != 1 {
 		t.Fatalf("format version %d, output generation %d: re-pin the golden keys",
 			codec.FormatVersion, sim.OutputGeneration)
 	}

@@ -315,7 +315,7 @@ func TestUnwritableStoreCountsErrors(t *testing.T) {
 	spec, cfg := mustSpec(t, "mcf"), testConfig()
 	rec := record(t, spec, cfg)
 
-	ro := filepath.Join(dir, "v1", "recordings")
+	ro := filepath.Join(st.vdir, "recordings")
 	if err := os.MkdirAll(ro, 0o755); err != nil {
 		t.Fatal(err)
 	}
